@@ -191,14 +191,10 @@ func main() {
 	}
 }
 
-// scheduleFor packs the winning configuration's schedule: on the
-// default path it reuses the shared engine cache (mixsoc.ScheduleFor);
-// with an explicit -backend it packs through that backend so the
-// printed schedule is the one the chosen packer produces.
+// scheduleFor packs the winning configuration's schedule through the
+// selected backend, so the printed schedule is the one that packer
+// produces.
 func scheduleFor(design *mixsoc.Design, p mixsoc.Partition, width int, packer tam.Packer) (*mixsoc.Schedule, error) {
-	if packer == nil {
-		return mixsoc.ScheduleFor(design, p, width)
-	}
 	jobs, err := core.BuildJobs(design, p, width)
 	if err != nil {
 		return nil, err

@@ -25,6 +25,34 @@ func sameResult(a, b *Result) bool {
 		a.Best.TestTime == b.Best.TestTime
 }
 
+// The default backend and an explicit "occupancy" selection are one
+// backend: they share one schedule cache per width (the second plan
+// packs nothing new) and count their packs in occupancy's block.
+func TestEngineDefaultAndOccupancyShareCache(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	ctx := context.Background()
+	def, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Metrics()
+	occ, err := eng.PlanWith(ctx, warmTestDesign(), 32, EqualWeights, PlanOptions{Backend: "occupancy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Metrics()
+	if !sameResult(def, occ) {
+		t.Error("occupancy plan diverges from the default plan")
+	}
+	if after.Schedules != before.Schedules || after.Schedule.Misses != before.Schedule.Misses {
+		t.Errorf("occupancy plan packed anew: schedules %d -> %d, misses %d -> %d",
+			before.Schedules, after.Schedules, before.Schedule.Misses, after.Schedule.Misses)
+	}
+	if got := after.BackendPacks["occupancy"].OK; got == 0 || got != after.Schedule.Misses {
+		t.Errorf("occupancy packs = %d, want one per schedule miss (%d)", got, after.Schedule.Misses)
+	}
+}
+
 // Engine results must be bit-identical to the one-shot free functions,
 // on the first (cold) call and on cache hits alike — including across
 // separately allocated copies of the same design.

@@ -133,8 +133,9 @@ func (c *ScheduleCache) Stats() CacheStats {
 // design at one TAM width, caching results by configuration. It counts
 // the number of distinct TAM optimizer runs, the NEval metric of
 // Table 4. It is safe for concurrent use: parallel planners prefetch
-// schedules through it (Prefetch does not count toward NEval) and a
-// deterministic replay then accounts the runs in sequential order.
+// schedules through it (PrefetchContext does not count toward NEval)
+// and a deterministic replay then accounts the runs in sequential
+// order.
 type Evaluator struct {
 	Design *Design
 	Width  int
@@ -162,14 +163,13 @@ type Evaluator struct {
 	// seeding (not results, but timing) nondeterministic.
 	Warm []*ScheduleCache
 
-	// Packer, when non-nil, is the packing backend every TAM run goes
-	// through; nil means the default occupancy backend (tam.Optimize),
-	// preserving the historical behaviour bit-for-bit. When set, the
-	// backing cache must be private to this backend (see
-	// Engine.sweepCache's backend-tagged keys): entries carry no backend
-	// tag of their own, so mixing backends in one cache would serve one
-	// backend's schedule as another's. Set it before the evaluator's
-	// first use.
+	// Packer is the packing backend every TAM run goes through; the
+	// constructors set the default occupancy backend. The backing cache
+	// must be private to this backend (see Engine.sweepCache's
+	// backend-tagged keys): entries carry no backend tag of their own,
+	// so mixing backends in one cache would serve one backend's schedule
+	// as another's. Set it before the evaluator's first use; it must not
+	// be nil.
 	Packer tam.Packer
 
 	cache *ScheduleCache
@@ -199,7 +199,7 @@ func NewSharedEvaluator(d *Design, width int, cache *ScheduleCache) *Evaluator {
 	if cache == nil {
 		cache = NewScheduleCache()
 	}
-	return &Evaluator{Design: d, Width: width, cache: cache, counted: map[string]bool{}}
+	return &Evaluator{Design: d, Width: width, Packer: tam.OccupancyPacker{}, cache: cache, counted: map[string]bool{}}
 }
 
 // Runs returns the number of TAM optimizer invocations accounted so far:
@@ -283,11 +283,7 @@ func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string,
 	if ctx != nil {
 		opts = append(opts, tam.WithContext(ctx))
 	}
-	if e.Packer != nil {
-		ent.s, ent.err = e.Packer.Pack(jobs, e.Width, opts...)
-		return
-	}
-	ent.s, ent.err = tam.Optimize(jobs, e.Width, opts...)
+	ent.s, ent.err = e.Packer.Pack(jobs, e.Width, opts...)
 }
 
 // Schedule returns the rectangle-packed schedule for configuration p,
@@ -316,22 +312,18 @@ func (e *Evaluator) ScheduleContext(ctx context.Context, p partition.Partition) 
 	return s, nil
 }
 
-// Prefetch computes and caches the schedule for configuration p without
-// counting it toward Runs. Parallel planners use it to warm the cache
-// speculatively; errors are deliberately dropped here and resurface,
-// deterministically, when the schedule is actually requested.
-func (e *Evaluator) Prefetch(p partition.Partition) {
-	e.PrefetchContext(nil, p)
-}
-
-// PrefetchContext is Prefetch under a context; a cancelled prefetch
-// leaves no trace in the cache.
+// PrefetchContext computes and caches the schedule for configuration p
+// without counting it toward Runs. Parallel planners use it to warm the
+// cache speculatively; errors are deliberately dropped here and
+// resurface, deterministically, when the schedule is actually
+// requested. A cancelled prefetch leaves no trace in the cache.
 func (e *Evaluator) PrefetchContext(ctx context.Context, p partition.Partition) {
 	_, _ = e.compute(ctx, p, p.Key(nil))
 }
 
-// scheduleUncounted is Prefetch returning its schedule: it computes and
-// caches without touching Runs, for speculative cost probes.
+// scheduleUncounted is PrefetchContext returning its schedule: it
+// computes and caches without touching Runs, for speculative cost
+// probes.
 func (e *Evaluator) scheduleUncounted(ctx context.Context, p partition.Partition) (*tam.Schedule, error) {
 	return e.compute(ctx, p, p.Key(nil))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -132,7 +133,7 @@ func TestPrefetchDoesNotCount(t *testing.T) {
 	d := planDesign()
 	e := NewEvaluator(d, 32)
 	p := d.AllShare()
-	e.Prefetch(p)
+	e.PrefetchContext(context.Background(), p)
 	if e.Runs() != 0 {
 		t.Fatalf("Runs = %d after Prefetch, want 0", e.Runs())
 	}

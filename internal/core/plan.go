@@ -72,8 +72,7 @@ type Planner struct {
 	Warm []*ScheduleCache
 	// Packer, when non-nil, is the packing backend every TAM run goes
 	// through (see Evaluator.Packer and PackerFor); nil is the default
-	// occupancy path, bit-identical to the historical planner. A
-	// non-nil Packer needs a Cache private to that backend.
+	// occupancy backend. Cache must be private to the backend.
 	Packer tam.Packer
 }
 
@@ -148,7 +147,9 @@ func (pl *Planner) evaluator() *Evaluator {
 	e.Digital = pl.Digital
 	e.DigitalKey = pl.DigitalKey
 	e.Warm = pl.Warm
-	e.Packer = pl.Packer
+	if pl.Packer != nil {
+		e.Packer = pl.Packer
+	}
 	return e
 }
 
@@ -173,12 +174,28 @@ func (pl *Planner) evalAt(ctx context.Context, e *Evaluator, cm analog.CostModel
 	}, nil
 }
 
-// feasibleCandidates splits the candidate set by the cost model's
-// feasibility rule, preserving order.
-func feasibleCandidates(cm analog.CostModel, d *Design, cands []partition.Partition) (feasible []partition.Partition, rejected int, err error) {
-	feasible = make([]partition.Partition, 0, len(cands))
+// setup resolves the planner defaults and returns the evaluator and the
+// policy's candidate set both solvers start from.
+func (pl *Planner) setup() (analog.CostModel, *Evaluator, []partition.Partition, error) {
+	cm, policy, err := pl.defaults()
+	if err != nil {
+		return analog.CostModel{}, nil, nil, err
+	}
+	cands := pl.Design.Candidates(policy)
+	if len(cands) == 0 {
+		return analog.CostModel{}, nil, nil, fmt.Errorf("core: policy admits no candidate configurations")
+	}
+	return cm, pl.evaluator(), cands, nil
+}
+
+// costed drops the candidates the cost model's feasibility rule rejects
+// (the paper's "should not be considered") and prices the rest without
+// a TAM run: area term and preliminary cost (equation 3). Order is
+// preserved.
+func (pl *Planner) costed(cm analog.CostModel, cands []partition.Partition) (members []candidate, rejected int, err error) {
+	members = make([]candidate, 0, len(cands))
 	for _, p := range cands {
-		skip, err := infeasible(cm, d, p)
+		skip, err := infeasible(cm, pl.Design, p)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -186,9 +203,88 @@ func feasibleCandidates(cm analog.CostModel, d *Design, cands []partition.Partit
 			rejected++
 			continue
 		}
-		feasible = append(feasible, p)
+		ca, ltb, err := costParts(pl.Design, cm, p)
+		if err != nil {
+			return nil, 0, err
+		}
+		members = append(members, candidate{p: p, ca: ca, prelim: pl.Weights.Time*ltb + pl.Weights.Area*ca})
 	}
-	return feasible, rejected, nil
+	if len(members) == 0 {
+		return nil, 0, fmt.Errorf("core: every candidate configuration is infeasible")
+	}
+	return members, rejected, nil
+}
+
+// speculate warms the evaluator's cache for members ahead of replay:
+// with more than one worker it packs them in parallel under an
+// atomically tightening incumbent that starts at bound, skipping each
+// member whose preliminary cost (when prelim is set) or, in Bounded
+// mode, whose cost lower bound can no longer beat it. Nothing here
+// counts toward NEval — replay is the sole authority on which members
+// are evaluated, so a speculative packing replay skips is cached but
+// never counted — and errors are dropped, to resurface in replay
+// deterministically.
+func (pl *Planner) speculate(ctx context.Context, e *Evaluator, members []candidate, allShare int64, bound float64, prelim bool) error {
+	workers := pl.workers()
+	if workers <= 1 {
+		return nil
+	}
+	inc := newIncumbent(bound)
+	return ForEachCtx(ctx, len(members), workers, func(i int) {
+		m := members[i]
+		if prelim && m.prelim >= inc.load() {
+			return
+		}
+		if pl.Bounded {
+			lb, err := pl.boundAt(e, m.p, m.ca, allShare)
+			if err != nil || lb >= inc.load() {
+				return
+			}
+		}
+		s, err := e.scheduleUncounted(ctx, m.p)
+		if err != nil {
+			return
+		}
+		ct := 100 * float64(s.Makespan) / float64(allShare)
+		inc.lower(pl.Weights.Time*ct + pl.Weights.Area*m.ca)
+	})
+}
+
+// replay is the sequential pass that decides the Result: members are
+// visited in order, skipped when their preliminary cost (when prelim is
+// set) cannot beat best, pruned — counted in Result.Pruned — when in
+// Bounded mode their cost lower bound cannot, and otherwise evaluated
+// and appended to Result.Evaluated. best (a zero Partition with +Inf
+// cost when there is no incumbent yet) moves only on a strict
+// improvement and ends as Result.Best; NEval is every TAM run the
+// evaluator counted.
+func (pl *Planner) replay(ctx context.Context, e *Evaluator, cm analog.CostModel, members []candidate, allShare int64, prelim bool, best Evaluation, res *Result) error {
+	for _, m := range members {
+		if prelim && m.prelim >= best.Cost {
+			continue
+		}
+		if pl.Bounded {
+			lb, err := pl.boundAt(e, m.p, m.ca, allShare)
+			if err != nil {
+				return err
+			}
+			if lb >= best.Cost {
+				res.Pruned++
+				continue
+			}
+		}
+		ev, err := pl.evalAt(ctx, e, cm, m.p, allShare)
+		if err != nil {
+			return err
+		}
+		res.Evaluated = append(res.Evaluated, ev)
+		if best.Partition == nil || ev.Cost < best.Cost {
+			best = ev
+		}
+	}
+	res.Best = best
+	res.NEval = e.Runs()
+	return nil
 }
 
 // Exhaustive evaluates every candidate configuration with the TAM
@@ -208,103 +304,30 @@ func (pl *Planner) Exhaustive() (*Result, error) {
 // a caller can abort mid-run and get ctx.Err() back promptly. Aborted
 // packings are dropped from the shared caches rather than memoized, so
 // a later run on the same caches still produces bit-identical results.
+//
+// It is the cost optimizer's survivor pass over a single bucket holding
+// every feasible candidate, with no preliminary-cost pruning and no
+// incumbent to start from.
 func (pl *Planner) ExhaustiveContext(ctx context.Context) (*Result, error) {
-	cm, policy, err := pl.defaults()
+	cm, e, cands, err := pl.setup()
 	if err != nil {
 		return nil, err
 	}
-	e := pl.evaluator()
-	cands := pl.Design.Candidates(policy)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: policy admits no candidate configurations")
-	}
-	feasible, rejected, err := feasibleCandidates(cm, pl.Design, cands)
+	members, rejected, err := pl.costed(cm, cands)
 	if err != nil {
 		return nil, err
 	}
-
-	// Warm the cache in parallel: the all-share normalization point plus
-	// every feasible candidate. Errors surface in the replay below. In
-	// Bounded mode packing everything would defeat the pruning, so the
-	// speculative pass below runs instead, once the normalization time
-	// is known.
-	if pl.workers() > 1 && !pl.Bounded {
-		allShareP := pl.Design.AllShare()
-		if err := ForEachCtx(ctx, len(feasible)+1, pl.workers(), func(i int) {
-			if i == 0 {
-				e.PrefetchContext(ctx, allShareP)
-				return
-			}
-			e.PrefetchContext(ctx, feasible[i-1])
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	allShare, err := e.TestTimeContext(ctx, pl.Design.AllShare())
 	if err != nil {
 		return nil, err
 	}
-
-	// Bounded speculative prefetch: pack candidates in parallel under an
-	// atomically tightening incumbent, skipping those whose bound cannot
-	// win. The sequential replay below is the sole authority on which
-	// candidates are evaluated (and hence on NEval and Pruned) — a
-	// speculative packing the replay prunes is cached but never counted.
-	if pl.workers() > 1 && pl.Bounded {
-		inc := newIncumbent(math.Inf(1))
-		if err := ForEachCtx(ctx, len(feasible), pl.workers(), func(i int) {
-			p := feasible[i]
-			ca, _, err := costParts(pl.Design, cm, p)
-			if err != nil {
-				return // the replay reports it deterministically
-			}
-			lb, err := pl.boundAt(e, p, ca, allShare)
-			if err != nil || lb >= inc.load() {
-				return
-			}
-			s, err := e.scheduleUncounted(ctx, p)
-			if err != nil {
-				return
-			}
-			ct := 100 * float64(s.Makespan) / float64(allShare)
-			inc.lower(pl.Weights.Time*ct + pl.Weights.Area*ca)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	res := &Result{Method: "exhaustive", Candidates: len(cands), Infeasible: rejected, AllShare: allShare}
-	best := -1
-	for _, p := range feasible {
-		if pl.Bounded && best >= 0 {
-			ca, _, err := costParts(pl.Design, cm, p)
-			if err != nil {
-				return nil, err
-			}
-			lb, err := pl.boundAt(e, p, ca, allShare)
-			if err != nil {
-				return nil, err
-			}
-			if lb >= res.Evaluated[best].Cost {
-				res.Pruned++
-				continue
-			}
-		}
-		ev, err := pl.evalAt(ctx, e, cm, p, allShare)
-		if err != nil {
-			return nil, err
-		}
-		res.Evaluated = append(res.Evaluated, ev)
-		if best < 0 || ev.Cost < res.Evaluated[best].Cost {
-			best = len(res.Evaluated) - 1
-		}
+	if err := pl.speculate(ctx, e, members, allShare, math.Inf(1), false); err != nil {
+		return nil, err
 	}
-	if best < 0 {
-		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
+	if err := pl.replay(ctx, e, cm, members, allShare, false, Evaluation{Cost: math.Inf(1)}, res); err != nil {
+		return nil, err
 	}
-	res.Best = res.Evaluated[best]
-	res.NEval = e.Runs()
 	return res, nil
 }
 
@@ -329,10 +352,10 @@ type group struct {
 	members  []candidate
 }
 
+// candidate is a feasible configuration priced without a TAM run.
 type candidate struct {
 	p      partition.Partition
 	ca     float64
-	ltb    float64
 	prelim float64
 }
 
@@ -363,44 +386,29 @@ func (pl *Planner) CostOptimizer() (*Result, error) {
 // CostOptimizerContext is CostOptimizer under a context; see
 // ExhaustiveContext for the cancellation contract.
 func (pl *Planner) CostOptimizerContext(ctx context.Context) (*Result, error) {
-	cm, policy, err := pl.defaults()
+	cm, e, cands, err := pl.setup()
 	if err != nil {
 		return nil, err
 	}
-	e := pl.evaluator()
-	cands := pl.Design.Candidates(policy)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("core: policy admits no candidate configurations")
+	members, rejected, err := pl.costed(cm, cands)
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{Method: "cost-optimizer", Candidates: len(cands), Infeasible: rejected}
 
-	res := &Result{Method: "cost-optimizer", Candidates: len(cands)}
-
-	// Lines 1-6: bucket by degree of sharing; preliminary costs. The
-	// cost model's feasibility rule drops configurations here — the
-	// paper's "should not be considered".
+	// Lines 1-6: bucket by degree of sharing, members ordered by
+	// preliminary cost, then label; buckets from most wrappers down.
 	byWrappers := map[int]*group{}
-	for _, p := range cands {
-		if skip, err := infeasible(cm, pl.Design, p); err != nil {
-			return nil, err
-		} else if skip {
-			res.Infeasible++
-			continue
-		}
-		ca, ltb, err := costParts(pl.Design, cm, p)
-		if err != nil {
-			return nil, err
-		}
-		c := candidate{p: p, ca: ca, ltb: ltb, prelim: pl.Weights.Time*ltb + pl.Weights.Area*ca}
-		g := byWrappers[p.Wrappers()]
+	for _, c := range members {
+		g := byWrappers[c.p.Wrappers()]
 		if g == nil {
-			g = &group{wrappers: p.Wrappers()}
-			byWrappers[p.Wrappers()] = g
+			g = &group{wrappers: c.p.Wrappers()}
+			byWrappers[c.p.Wrappers()] = g
 		}
 		g.members = append(g.members, c)
 	}
 	groups := make([]*group, 0, len(byWrappers))
 	for _, g := range byWrappers {
-		// Deterministic member order: by preliminary cost, then label.
 		sort.Slice(g.members, func(a, b int) bool {
 			if g.members[a].prelim != g.members[b].prelim {
 				return g.members[a].prelim < g.members[b].prelim
@@ -411,15 +419,11 @@ func (pl *Planner) CostOptimizerContext(ctx context.Context) (*Result, error) {
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].wrappers > groups[b].wrappers })
 
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: every candidate configuration is infeasible")
-	}
-
 	// Warm the cache with the normalization point and every bucket
-	// representative in parallel; the replay below accounts them.
-	workers := pl.workers()
-	if workers > 1 {
-		allShareP := pl.Design.AllShare()
+	// representative in parallel; the counted requests below account
+	// them.
+	allShareP := pl.Design.AllShare()
+	if workers := pl.workers(); workers > 1 {
 		if err := ForEachCtx(ctx, len(groups)+1, workers, func(i int) {
 			if i == 0 {
 				e.PrefetchContext(ctx, allShareP)
@@ -434,106 +438,40 @@ func (pl *Planner) CostOptimizerContext(ctx context.Context) (*Result, error) {
 	// The all-share time normalizes CT; the all-share configuration is
 	// the single member of the 1-wrapper bucket under the paper's policy,
 	// so this evaluation is reused below via the cache.
-	allShare, err := e.TestTimeContext(ctx, pl.Design.AllShare())
+	allShare, err := e.TestTimeContext(ctx, allShareP)
 	if err != nil {
 		return nil, err
 	}
 	res.AllShare = allShare
 
-	// Lines 7-13: evaluate each bucket's most promising member.
-	type repEval struct {
-		g  *group
-		ev Evaluation
-	}
-	reps := make([]repEval, 0, len(groups))
-	bestRep := math.Inf(1)
-	for _, g := range groups {
+	// Lines 7-13: evaluate each bucket's most promising member; the
+	// cheapest representative is the incumbent.
+	var best Evaluation
+	for i, g := range groups {
 		ev, err := pl.evalAt(ctx, e, cm, g.members[0].p, allShare)
 		if err != nil {
 			return nil, err
 		}
 		res.Evaluated = append(res.Evaluated, ev)
-		reps = append(reps, repEval{g: g, ev: ev})
-		if ev.Cost < bestRep {
-			bestRep = ev.Cost
+		if i == 0 || ev.Cost < best.Cost {
+			best = ev
 		}
 	}
 
-	// Track the incumbent best.
-	best := reps[0].ev
-	for _, r := range reps[1:] {
-		if r.ev.Cost < best.Cost {
-			best = r.ev
-		}
-	}
-
-	// Speculatively prefetch the surviving members in parallel. The
-	// shared incumbent bound tightens as speculative costs come back, so
-	// members that cannot win are skipped without ever packing them; the
-	// sequential replay below is the sole authority on which evaluations
-	// the algorithm performs (and hence on NEval).
-	if workers > 1 {
-		var spec []candidate
-		for _, r := range reps {
-			if r.ev.Cost > bestRep+pl.Epsilon {
-				continue
-			}
-			spec = append(spec, r.g.members[1:]...)
-		}
-		bound := newIncumbent(best.Cost)
-		if err := ForEachCtx(ctx, len(spec), workers, func(i int) {
-			m := spec[i]
-			if pl.PrunePrelim && m.prelim >= bound.load() {
-				return
-			}
-			if pl.Bounded {
-				lb, err := pl.boundAt(e, m.p, m.ca, allShare)
-				if err != nil || lb >= bound.load() {
-					return
-				}
-			}
-			s, err := e.scheduleUncounted(ctx, m.p)
-			if err != nil {
-				return // the replay reports it deterministically
-			}
-			ct := 100 * float64(s.Makespan) / float64(allShare)
-			bound.lower(pl.Weights.Time*ct + pl.Weights.Area*m.ca)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Lines 14-18: eliminate buckets, then fully evaluate survivors.
-	for _, r := range reps {
-		if r.ev.Cost > bestRep+pl.Epsilon {
+	// Lines 14-18: eliminate buckets whose representative is more than ε
+	// worse than the best, then evaluate the survivors' other members.
+	var survivors []candidate
+	for i, g := range groups {
+		if res.Evaluated[i].Cost > best.Cost+pl.Epsilon {
 			continue // bucket eliminated
 		}
-		for _, m := range r.g.members[1:] {
-			if pl.PrunePrelim && m.prelim >= best.Cost {
-				continue
-			}
-			if pl.Bounded {
-				lb, err := pl.boundAt(e, m.p, m.ca, allShare)
-				if err != nil {
-					return nil, err
-				}
-				if lb >= best.Cost {
-					res.Pruned++
-					continue
-				}
-			}
-			ev, err := pl.evalAt(ctx, e, cm, m.p, allShare)
-			if err != nil {
-				return nil, err
-			}
-			res.Evaluated = append(res.Evaluated, ev)
-			if ev.Cost < best.Cost {
-				best = ev
-			}
-		}
+		survivors = append(survivors, g.members[1:]...)
 	}
-
-	res.Best = best
-	res.NEval = e.Runs()
+	if err := pl.speculate(ctx, e, survivors, allShare, best.Cost, pl.PrunePrelim); err != nil {
+		return nil, err
+	}
+	if err := pl.replay(ctx, e, cm, survivors, allShare, pl.PrunePrelim, best, res); err != nil {
+		return nil, err
+	}
 	return res, nil
 }

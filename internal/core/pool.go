@@ -12,20 +12,19 @@ import (
 // an experiment grid) does not specify one: every available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// ForEach invokes fn(0..n-1), fanning the indices across at most workers
-// goroutines. With workers <= 1 (or n <= 1) it degenerates to a plain
-// sequential loop with no goroutine or allocation overhead. fn must be
-// safe for concurrent use; callers make results deterministic by writing
-// them into index i of a pre-sized slice and merging after ForEach
-// returns. It is the fan-out primitive behind the parallel planner and
-// the experiment grids.
-func ForEach(n, workers int, fn func(i int)) { forEach(nil, n, workers, fn) }
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done
-// no further index is dispatched (indices already running finish their
-// fn call) and the context's error is returned. A nil ctx — and a ctx
-// that never fires — makes it behave exactly like ForEach and return
-// nil, so threading a context through a fan-out changes no result.
+// ForEachCtx invokes fn(0..n-1), fanning the indices across at most
+// workers goroutines. With workers <= 1 (or n <= 1) it degenerates to a
+// plain sequential loop with no goroutine or allocation overhead. fn
+// must be safe for concurrent use; callers make results deterministic
+// by writing them into index i of a pre-sized slice and merging after
+// ForEachCtx returns. It is the fan-out primitive behind the parallel
+// planner and the experiment grids.
+//
+// Cancellation is cooperative: once ctx is done no further index is
+// dispatched (indices already running finish their fn call) and the
+// context's error is returned. A nil ctx — and a ctx that never fires —
+// runs every index and returns nil, so threading a context through a
+// fan-out changes no result.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	forEach(ctx, n, workers, fn)
 	if ctx == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -48,12 +49,15 @@ func TestForEachEdges(t *testing.T) {
 		for _, n := range []int{0, 1, 3, 8} {
 			var calls atomic.Int64
 			seen := make([]atomic.Bool, max(n, 1))
-			ForEach(n, workers, func(i int) {
+			err := ForEachCtx(context.Background(), n, workers, func(i int) {
 				calls.Add(1)
 				if seen[i].Swap(true) {
 					t.Errorf("workers=%d n=%d: index %d visited twice", workers, n, i)
 				}
 			})
+			if err != nil {
+				t.Errorf("workers=%d n=%d: err %v", workers, n, err)
+			}
 			if int(calls.Load()) != n {
 				t.Errorf("workers=%d n=%d: fn called %d times", workers, n, calls.Load())
 			}

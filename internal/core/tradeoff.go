@@ -56,9 +56,8 @@ type SweepOptions struct {
 	// DefaultWorkers.
 	Workers int
 	// Backend selects the packing backend by name for every grid point
-	// (see PlanOptions.Backend). Empty is the default occupancy path —
-	// bit-identical to a sweep before backends existed; an unknown name
-	// fails the sweep before any point is solved.
+	// (see PlanOptions.Backend). Empty is the default occupancy backend;
+	// an unknown name fails the sweep before any point is solved.
 	Backend string
 	// Select, when non-nil, restricts the sweep to the grid points for
 	// which it returns true — the hook a sharded runner uses to solve
@@ -120,8 +119,8 @@ type sweepCaches interface {
 	// sweepStairs returns a staircase cache covering widths up to maxW.
 	sweepStairs(maxW int) *wrapper.StaircaseCache
 	// sweepCache returns the cold schedule cache for width w under the
-	// named packing backend (empty = default); distinct backends must
-	// get distinct caches.
+	// packing backend of the given canonical name (a resolved packer's
+	// Name); distinct backends must get distinct caches.
 	sweepCache(w int, backend string) *ScheduleCache
 }
 
@@ -203,7 +202,7 @@ func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Wei
 	caches := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
 		if prov != nil && !opt.WarmStart {
-			caches[w] = prov.sweepCache(w, opt.Backend)
+			caches[w] = prov.sweepCache(w, packer.Name())
 		} else {
 			caches[w] = NewScheduleCache()
 		}

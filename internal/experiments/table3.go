@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"mixsoc/internal/analog"
 	"mixsoc/internal/core"
 	"mixsoc/internal/partition"
 	"mixsoc/internal/wrapper"
@@ -155,10 +154,4 @@ func RenderTable3(r *Table3Result) string {
 	}
 	sb.WriteString("\n(paper spreads: 2.45, 7.36, 17.18 for W=32,48,64)\n")
 	return sb.String()
-}
-
-// AnalogOnlyLowerBounds recomputes, for reference, the Table 1 LTB in
-// cycles for a combination — used by the CLI to cross-link tables.
-func AnalogOnlyLowerBounds(d *core.Design, p partition.Partition) (int64, error) {
-	return analog.LowerBoundCycles(d.Analog, p)
 }

@@ -72,9 +72,15 @@ type batchTask struct {
 }
 
 // batchKey is the dedup identity of a plan request: everything the
-// response bytes depend on. Items whose designs fail to resolve return
-// an error and stay singletons (each reports its own failure).
+// response bytes depend on, with the backend by its canonical name so
+// a default item and an "occupancy" item plan once. Items whose
+// designs or backends fail to resolve return an error and stay
+// singletons (each reports its own failure).
 func batchKey(item PlanRequest) (string, error) {
+	pk, err := core.PackerFor(item.Backend)
+	if err != nil {
+		return "", err
+	}
 	d, err := resolveDesign(item.Design, item.SOC, item.Benchmark)
 	if err != nil {
 		return "", err
@@ -87,7 +93,7 @@ func batchKey(item PlanRequest) (string, error) {
 	if item.WT != nil {
 		wt = *item.WT
 	}
-	return fmt.Sprintf("%s|%d|%016x|%t|%t|%s", hash, item.Width, math.Float64bits(wt), item.Exhaustive, item.Bounded, item.Backend), nil
+	return fmt.Sprintf("%s|%d|%016x|%t|%t|%s", hash, item.Width, math.Float64bits(wt), item.Exhaustive, item.Bounded, pk.Name()), nil
 }
 
 // Batch computes the response of POST /v1/batch for req — the exact

@@ -106,6 +106,37 @@ func TestBatchDedupesIdenticalItems(t *testing.T) {
 	}
 }
 
+// TestBatchDedupesDefaultAndOccupancyBackend: no backend and "occupancy"
+// name the same packer, so the two items plan once and carry identical
+// bytes.
+func TestBatchDedupesDefaultAndOccupancyBackend(t *testing.T) {
+	s, ts := newTestServer(t)
+	items := []PlanRequest{{Width: 32}, {Width: 32, Backend: "occupancy"}}
+	before := s.Engine().Metrics().Plans
+	status, body := post(t, ts, "/v1/batch", BatchRequest{Items: items})
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d: %s", status, body)
+	}
+	var batch rawBatchResponse
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if batch.Deduped != 1 {
+		t.Errorf("Deduped = %d, want 1", batch.Deduped)
+	}
+	if ran := s.Engine().Metrics().Plans - before; ran != 1 {
+		t.Errorf("engine ran %d plans, want 1", ran)
+	}
+	for i, item := range batch.Items {
+		if item.Status != http.StatusOK {
+			t.Fatalf("item %d: status %d: %s", i, item.Status, item.Error)
+		}
+	}
+	if !bytes.Equal(batch.Items[0].Response, batch.Items[1].Response) {
+		t.Error("default and occupancy items carry different bytes")
+	}
+}
+
 // TestBatchPerItemErrors: invalid items fail alone with the status
 // /v1/plan would give them; valid items still plan; the call is 200.
 func TestBatchPerItemErrors(t *testing.T) {

@@ -177,6 +177,11 @@ func TestMetricsEndpointParsesAndCountersMove(t *testing.T) {
 	if hits <= before[`msoc_engine_schedule_cache_total{result="hit"}`] {
 		t.Errorf("schedule cache hits did not move across repeated identical plans (hits=%v misses=%v)", hits, misses)
 	}
+	// Plans without a backend pack through occupancy and count there:
+	// one ok pack per schedule-cache miss.
+	if got := after[`msoc_backend_packs_total{backend="occupancy",result="ok"}`]; got != misses {
+		t.Errorf("backend_packs_total{occupancy,ok} = %v after default plans, want %v (the misses)", got, misses)
+	}
 	if got := after[`msoc_http_requests_total{endpoint="/v1/plan",code="200"}`]; got != 2 {
 		t.Errorf("http_requests_total{/v1/plan,200} = %v, want 2", got)
 	}

@@ -205,8 +205,7 @@ func TestAdoptSeedRederivesDurations(t *testing.T) {
 }
 
 // BenchmarkEarliestFit measures one bestPlacement query — the packer's
-// innermost operation — against a realistic packed schedule, comparing
-// the bitmask band search with the counter-scan reference.
+// innermost operation — against a realistic packed schedule.
 func BenchmarkEarliestFit(b *testing.B) {
 	jobs := digitalJobs(b, 64)
 	s, err := Optimize(jobs, 64)
@@ -216,23 +215,13 @@ func BenchmarkEarliestFit(b *testing.B) {
 	probe := jobs[len(jobs)-1]
 	placements := s.Placements[:len(s.Placements)-1]
 	cfg := config{improvePasses: len(jobs), paretoOnly: true}
-	opts := newOptionTable(jobs, 64, cfg)
-	run := func(b *testing.B, f *fitter) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := f.bestPlacement(probe, placements); !ok {
-				b.Fatal("no placement found")
-			}
+	f := newFitter(newOptionTable(jobs, 64, cfg), 64, cfg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := f.bestPlacement(probe, placements); !ok {
+			b.Fatal("no placement found")
 		}
 	}
-	b.Run("bitmask", func(b *testing.B) {
-		run(b, newFitter(opts, 64, cfg))
-	})
-	b.Run("counter-scan", func(b *testing.B) {
-		f := newFitter(opts, 64, cfg)
-		f.useMask = false
-		run(b, f)
-	})
 }
 
 // BenchmarkWarmStart compares cold packing with warm-starting from the
