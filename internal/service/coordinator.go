@@ -1,16 +1,27 @@
 package service
 
-// The coordinator half of a distributed sweep. A sweep's (widths ×
+// The shard pipeline behind every sharded sweep. A sweep's (widths ×
 // weights) cells are mutually independent — the same argument that
-// makes the paper's Table 4 grid shardable across machines — so the
-// coordinator partitions them round-robin (experiments.RoundRobin, the
-// grid runner's rule), posts one /v1/shard request per shard to the
-// fleet's workers, and reassembles the partial point lists into the
-// dense weights-major order an in-process sweep returns. The merged
-// response is byte-identical to the in-process one: each worker solves
-// its cells through core.SweepOptions.Select (subset == full-sweep
-// bits), float64s survive the JSON hop exactly, and the merge only
-// permutes — never recomputes — the points.
+// makes the paper's Table 4 grid shardable across machines — so a
+// sweep splits round-robin (experiments.RoundRobin, the grid runner's
+// rule) into shards that solve independently and reassemble into the
+// dense weights-major order an in-process sweep returns. One pipeline,
+// runShards, solves the missing shards of a split in parallel for both
+// of its callers — the synchronous distributed POST /v1/sweep
+// (coordinator.sweep) and durable jobs (jobManager.run) — and one
+// merge, mergeShards, places shard s's j-th point at cell s + j·of.
+// The pipeline has two branches:
+//
+//   - fleet: with assignable workers, each shard is posted as one
+//     /v1/shard request to its home worker through runShard;
+//   - local: with no fleet, each shard solves in-process on the
+//     already-validated spec, holding one worker-pool slot, so jobs and
+//     interactive requests share one saturation bound.
+//
+// Either way the merged response is byte-identical to the in-process
+// one: every shard solves its cells through core.SweepOptions.Select
+// (subset == full-sweep bits), float64s survive the JSON hop exactly,
+// and the merge only permutes — never recomputes — the points.
 //
 // Worker selection goes through the fleet: shards are homed only on
 // currently-assignable workers (healthy first), the shard count is
@@ -25,7 +36,8 @@ package service
 // the next-best fleet member after a short exponential backoff
 // (Options.RetryBackoff), up to Options.ShardAttempts distinct
 // attempts. A shard that exhausts its attempts fails the sweep with a
-// 502 carrying every attempt's WorkerFailure.
+// 502 carrying every attempt's WorkerFailure, shard-major and in
+// attempt order within a shard.
 
 import (
 	"bytes"
@@ -36,6 +48,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -89,26 +102,26 @@ func newFleetTransport() *http.Transport {
 	}
 }
 
-// coordinator fans sweep shards out to the fleet's workers and merges
-// the partials.
+// coordinator runs the shard pipeline: it fans shards out to the
+// server's fleet, or solves them on the server's own pool when the
+// fleet is empty.
 type coordinator struct {
-	fleet        *fleet
+	srv          *Server // the fleet, metrics, pool and engine shards run on
 	client       *http.Client
 	shardTimeout time.Duration
 	attempts     int           // max distinct attempts per shard; 0 = every current member
 	retryBackoff time.Duration // base backoff between a shard's attempts
-	metrics      *metricsRegistry
 
 	// sleep waits between shard attempts; replaced in tests with a
 	// recording no-op so retry tests stay fast and deterministic.
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// newCoordinator builds the coordinator over the fleet; the server owns
-// one even when the fleet starts empty, so workers hot-added through
-// POST /v1/workers turn a standalone server into a coordinator without
-// a restart.
-func newCoordinator(opts Options, fl *fleet, client *http.Client, m *metricsRegistry) *coordinator {
+// newCoordinator builds the coordinator over the server's fleet; the
+// server owns one even when the fleet starts empty, so workers
+// hot-added through POST /v1/workers turn a standalone server into a
+// coordinator without a restart.
+func newCoordinator(opts Options, s *Server, client *http.Client) *coordinator {
 	shardTimeout := opts.ShardTimeout
 	if shardTimeout <= 0 {
 		shardTimeout = 60 * time.Second
@@ -118,12 +131,11 @@ func newCoordinator(opts Options, fl *fleet, client *http.Client, m *metricsRegi
 		retryBackoff = 250 * time.Millisecond
 	}
 	return &coordinator{
-		fleet:        fl,
+		srv:          s,
 		client:       client, // per-attempt contexts carry the deadlines
 		shardTimeout: shardTimeout,
 		attempts:     max(0, opts.ShardAttempts),
 		retryBackoff: retryBackoff,
-		metrics:      m,
 		sleep:        sleepCtx,
 	}
 }
@@ -157,64 +169,92 @@ func (e *distributedSweepError) Error() string {
 		len(shards), len(e.Failures))
 }
 
-// sweep answers a cold /v1/sweep by fanning shards out to the fleet's
-// assignable workers and merging the partials; the result is
-// byte-identical to the in-process sweep for the same spec. ok=false
-// (with no error) means the fleet is empty and the caller should sweep
-// in-process.
-func (c *coordinator) sweep(ctx context.Context, sp *sweepSpec, req SweepRequest) (resp *SweepResponse, ok bool, err error) {
-	cells := sp.cells()
-	homes, ok := c.fleet.assign(cells)
+// sweep answers a cold /v1/sweep by running every shard through the
+// pipeline on the fleet's assignable workers and merging the partials;
+// the result is byte-identical to the in-process sweep for the same
+// spec. ok=false (with no error) means the fleet is empty and the
+// caller should sweep in-process.
+func (c *coordinator) sweep(ctx context.Context, sp *sweepSpec) (resp *SweepResponse, ok bool, err error) {
+	homes, ok := c.srv.fleet.assign(sp.cells())
 	if !ok {
 		return nil, false, nil
 	}
-	of := len(homes)
-
-	type shardOutcome struct {
-		resp     *ShardResponse
-		failures []WorkerFailure
-		err      error // non-nil only for request-level aborts (ctx)
+	parts := make([]*ShardResponse, len(homes))
+	failures, err := c.runShards(ctx, sp, len(homes), homes,
+		func(int) bool { return false },
+		func(shard int, part *ShardResponse) { parts[shard] = part })
+	if err != nil {
+		// The request itself died (deadline or client abort); report
+		// that, not a worker failure.
+		return nil, true, err
 	}
-	outcomes := make([]shardOutcome, of)
+	if slices.Contains(parts, nil) {
+		return nil, true, &distributedSweepError{Failures: failures}
+	}
+	return mergeShards(sp, parts), true, nil
+}
+
+// runShards is the shard pipeline: it solves, in parallel, every shard
+// of the of-way split that done does not report as solved, and hands
+// each partial to onShard as it lands (concurrently for different
+// shards). With homes (fleet.assign's output) shard s runs on the fleet
+// through runShard, homed on homes[s%len(homes)]; without, it solves
+// in-process through solveLocal. It returns once every started shard
+// has finished: the failures shard-major, each shard's in attempt
+// order, and ctx's error when the context ended any shard.
+func (c *coordinator) runShards(ctx context.Context, sp *sweepSpec, of int, homes []string, done func(shard int) bool, onShard func(shard int, resp *ShardResponse)) ([]WorkerFailure, error) {
+	// One slot per shard keeps the order deterministic without a lock.
+	failures := make([][]WorkerFailure, of)
+	aborted := make([]bool, of)
 	var wg sync.WaitGroup
 	for shard := 0; shard < of; shard++ {
+		if done(shard) {
+			continue
+		}
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			resp, failures, err := c.runShard(ctx, sp, req, shard, of, homes[shard])
-			outcomes[shard] = shardOutcome{resp: resp, failures: failures, err: err}
+			var resp *ShardResponse
+			var err error
+			if len(homes) > 0 {
+				resp, failures[shard], err = c.runShard(ctx, sp, shard, of, homes[shard%len(homes)])
+			} else {
+				resp, err = c.srv.solveLocal(ctx, sp, shard, of, 0)
+			}
+			switch {
+			case resp != nil:
+				onShard(shard, resp)
+			case err != nil && ctx.Err() != nil:
+				aborted[shard] = true
+			case err != nil:
+				failures[shard] = append(failures[shard], WorkerFailure{Shard: shard, Error: err.Error()})
+			}
 		}(shard)
 	}
 	wg.Wait()
 
-	var failures []WorkerFailure
-	for _, o := range outcomes {
-		if o.err != nil {
-			// The request itself died (deadline or client abort); report
-			// that, not a worker failure.
-			return nil, true, o.err
-		}
-		failures = append(failures, o.failures...)
+	all := slices.Concat(failures...)
+	if slices.Contains(aborted, true) {
+		return all, ctx.Err()
 	}
-	for _, o := range outcomes {
-		if o.resp == nil {
-			return nil, true, &distributedSweepError{Failures: failures}
-		}
-	}
+	return all, nil
+}
 
-	// Merge: shard s owns dense cells s, s+of, s+2·of, … in order, so
-	// the j-th point of shard s lands at cell s + j·of. Placement is
-	// all that happens here — post already verified every partial
-	// against the merge contract (hash, geometry, and each point's grid
-	// coordinate), so a contract-violating worker was reassigned like
-	// any other failure, not discovered after the retry loop ended.
-	points := make([]core.SweepPoint, cells)
-	for shard, o := range outcomes {
-		for j, pt := range o.resp.Points {
-			points[shard+j*of] = pt
+// mergeShards places a complete split's partials into the dense
+// weights-major point list: shard s owns dense cells s, s+of, s+2·of, …
+// in order, so the j-th point of shard s lands at cell s + j·of.
+// Placement is all that happens here — a fleet partial already passed
+// verifyShardPartial in post (a contract-violating worker was
+// reassigned like any other failure), a checkpoint passed it at
+// recovery, and a local partial was solved on the spec itself.
+func mergeShards(sp *sweepSpec, parts []*ShardResponse) *SweepResponse {
+	points := make([]core.SweepPoint, sp.cells())
+	for shard, part := range parts {
+		for j, pt := range part.Points {
+			points[shard+j*len(parts)] = pt
 		}
 	}
-	return &SweepResponse{DesignHash: sp.hash, Points: points}, true, nil
+	return &SweepResponse{DesignHash: sp.hash, Points: points}
 }
 
 // runShard computes one shard on the fleet: the home worker gets the
@@ -225,24 +265,23 @@ func (c *coordinator) sweep(ctx context.Context, sp *sweepSpec, req SweepRequest
 // machine. The returned error is non-nil only when the *request*
 // context died; per-worker problems come back as WorkerFailures with a
 // nil response.
-func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req SweepRequest, shard, of int, home string) (*ShardResponse, []WorkerFailure, error) {
+func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, shard, of int, home string) (*ShardResponse, []WorkerFailure, error) {
 	want, err := experiments.RoundRobin(sp.cells(), shard, of)
 	if err != nil {
 		return nil, nil, err
 	}
-	shardReq := ShardRequest{
-		Design:     req.Design,
-		SOC:        req.SOC,
-		Benchmark:  req.Benchmark,
-		Widths:     sp.widths,
-		WTs:        sp.wts,
-		Exhaustive: req.Exhaustive,
-		Bounded:    req.Bounded,
-		Backend:    req.Backend,
+	body, err := json.Marshal(ShardRequest{
+		Design:     sp.req.Design,
+		SOC:        sp.req.SOC,
+		Benchmark:  sp.req.Benchmark,
+		Widths:     sp.req.Widths,
+		WTs:        sp.req.WTs,
+		Exhaustive: sp.req.Exhaustive,
+		Bounded:    sp.req.Bounded,
+		Backend:    sp.req.Backend,
 		Shard:      shard,
 		Of:         of,
-	}
-	body, err := json.Marshal(shardReq)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -254,7 +293,7 @@ func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req SweepRequ
 	tried := map[string]bool{}
 	var failures []WorkerFailure
 	for attempt := 0; c.attempts == 0 || attempt < c.attempts; attempt++ {
-		worker := c.fleet.nextWorker(home, tried)
+		worker := c.srv.fleet.nextWorker(home, tried)
 		if worker == "" {
 			break // every current member tried
 		}
@@ -267,10 +306,10 @@ func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req SweepRequ
 		}
 		resp, failure := c.post(ctx, worker, shard, of, body, sp, want)
 		if failure == nil {
-			c.fleet.reportSuccess(worker, 0)
+			c.srv.fleet.reportSuccess(worker, 0)
 			return resp, failures, nil
 		}
-		c.fleet.reportFailure(worker, failure.Error)
+		c.srv.fleet.reportFailure(worker, failure.Error)
 		failures = append(failures, *failure)
 		if ctx.Err() != nil {
 			// The request deadline (or the client) killed the sweep;
@@ -290,7 +329,7 @@ func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, req SweepRequ
 func (c *coordinator) post(ctx context.Context, worker string, shard, of int, body []byte, sp *sweepSpec, want []int) (*ShardResponse, *WorkerFailure) {
 	start := time.Now()
 	fail := func(result, format string, args ...any) *WorkerFailure {
-		c.metrics.observeShard(worker, result, time.Since(start))
+		c.srv.metrics.observeShard(worker, result, time.Since(start))
 		return &WorkerFailure{Worker: worker, Shard: shard, Error: fmt.Sprintf(format, args...)}
 	}
 
@@ -324,7 +363,7 @@ func (c *coordinator) post(ctx context.Context, worker string, shard, of int, bo
 	if err := verifyShardPartial(sp, shard, of, want, &resp); err != nil {
 		return nil, fail(shardResultError, "%v", err)
 	}
-	c.metrics.observeShard(worker, shardResultOK, time.Since(start))
+	c.srv.metrics.observeShard(worker, shardResultOK, time.Since(start))
 	return &resp, nil
 }
 
@@ -346,8 +385,8 @@ func verifyShardPartial(sp *sweepSpec, shard, of int, want []int, resp *ShardRes
 	}
 	for j, pt := range resp.Points {
 		i := want[j]
-		wantW := sp.widths[i%len(sp.widths)]
-		wantWt := sp.weights[i/len(sp.widths)]
+		wantW := sp.req.Widths[i%len(sp.req.Widths)]
+		wantWt := sp.weights[i/len(sp.req.Widths)]
 		if pt.Width != wantW || pt.Weights != wantWt {
 			return fmt.Errorf("merge conflict: point %d is (W=%d, wT=%v), want (W=%d, wT=%v)",
 				j, pt.Width, pt.Weights.Time, wantW, wantWt.Time)

@@ -2,10 +2,12 @@ package service
 
 // Durable sweep jobs: the asynchronous, crash-resumable half of the
 // serving layer. POST /v1/sweeps validates a sweep exactly like
-// POST /v1/sweep, dedupes it by content key — the design hash, the
-// normalized grid axes and the exhaustive flag hash to a deterministic
-// job ID, so identical re-submissions (before or after a restart)
-// land on the existing job — and returns immediately; the sweep then
+// POST /v1/sweep (plus the job-only checks of validateJob, which
+// recovery re-applies to every manifest), dedupes it by content key —
+// the design hash, the normalized grid axes and the exhaustive flag,
+// plus the bounded flag and the backend name when set, hash to a
+// deterministic job ID, so identical re-submissions (before or after a
+// restart) land on the existing job — and returns immediately; the sweep then
 // runs detached from the submitting connection under the manager's own
 // context, so a client that disconnects (499) no longer cancels work.
 //
@@ -22,15 +24,16 @@ package service
 // verifyShardPartial, shared with coordinator.post), deletes the ones
 // that fail it, and re-runs only the missing shards.
 //
-// The shard work itself reuses the existing machinery unchanged: on a
-// coordinator with a live fleet each missing shard goes through
-// coordinator.runShard (per-attempt deadlines, retry-by-reassignment,
-// fleet state-machine feedback); on a standalone server the shards
-// solve in-process through Server.Shard, each holding one worker-pool
-// slot, so jobs and interactive requests share the same saturation
-// bound. Either way every partial is bit-identical to the same cells
-// of an unsharded sweep, which is what makes the checkpoint files
-// mergeable across process lifetimes.
+// The shard work is the shard pipeline a synchronous distributed sweep
+// runs (coordinator.runShards): the job skips its checkpointed shards
+// and checkpoints each new partial as it lands. With a live fleet the
+// missing shards take the fleet branch (per-attempt deadlines,
+// retry-by-reassignment, fleet state-machine feedback); on a
+// standalone server they take the local branch, each holding one
+// worker-pool slot. Either way every partial is bit-identical to the
+// same cells of an unsharded sweep, which is what makes the checkpoint
+// files mergeable across process lifetimes, and the finished job
+// merges through the same mergeShards as a synchronous sweep.
 
 import (
 	"context"
@@ -41,11 +44,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
-	"mixsoc/internal/core"
 	"mixsoc/internal/experiments"
 )
 
@@ -76,7 +77,8 @@ const jobGCInterval = time.Minute
 type JobResponse struct {
 	// ID is the job's content-keyed identifier: a deterministic hash of
 	// the design hash, the normalized grid axes, and the exhaustive
-	// flag, so identical sweeps always share one ID.
+	// flag, plus the bounded flag and the backend name when they are
+	// set, so identical sweeps always share one ID.
 	ID string `json:"id"`
 	// State is the job lifecycle state: "running", "done" or "failed".
 	State string `json:"state"`
@@ -150,20 +152,17 @@ type JobEvent struct {
 
 // jobManifest is the durable identity of one job —
 // <job-dir>/<id>/job.json — everything recovery needs to re-derive the
-// sweep spec and the shard split exactly as submitted.
+// sweep spec and the shard split exactly as submitted. The embedded
+// request flattens into the file, so its keys and their order are the
+// ones older binaries wrote: the wts axis is always normalized (never
+// empty), and warm_start and timeout_ms, which validateJob rejects,
+// are never written.
 type jobManifest struct {
-	ID         string          `json:"id"`
-	DesignHash string          `json:"design_hash"`
-	Design     json.RawMessage `json:"design,omitempty"`
-	SOC        string          `json:"soc,omitempty"`
-	Benchmark  string          `json:"benchmark,omitempty"`
-	Widths     []int           `json:"widths"`
-	WTs        []float64       `json:"wts"`
-	Exhaustive bool            `json:"exhaustive,omitempty"`
-	Bounded    bool            `json:"bounded,omitempty"`
-	Backend    string          `json:"backend,omitempty"`
-	Of         int             `json:"of"`
-	CreatedAt  string          `json:"created_at"`
+	ID         string `json:"id"`
+	DesignHash string `json:"design_hash"`
+	SweepRequest
+	Of        int    `json:"of"`
+	CreatedAt string `json:"created_at"`
 }
 
 // jobShardState is one shard's in-memory progress: its verified
@@ -254,16 +253,35 @@ func (m *jobManager) close() {
 // Unbounded default-backend jobs keep the original key shape — each
 // flag joins the hash only when set — so checkpoints written by an
 // older binary still re-derive their IDs at recovery.
-func jobID(sp *sweepSpec, exhaustive, bounded bool, backend string) string {
+func jobID(sp *sweepSpec) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%v|%v|%t", sp.hash, sp.widths, sp.wts, exhaustive)
-	if bounded {
+	fmt.Fprintf(h, "%s|%v|%v|%t", sp.hash, sp.req.Widths, sp.req.WTs, sp.req.Exhaustive)
+	if sp.req.Bounded {
 		fmt.Fprintf(h, "|bounded")
 	}
-	if backend != "" {
-		fmt.Fprintf(h, "|backend=%s", backend)
+	if sp.req.Backend != "" {
+		fmt.Fprintf(h, "|backend=%s", sp.req.Backend)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// validateJob checks a sweep the way a durable job needs it: everything
+// validateSweep checks, plus the options a detached, checkpointed run
+// cannot honor. Submission and boot-time recovery both go through it,
+// so a manifest recovery resumes is one submission would have accepted.
+func validateJob(req SweepRequest) (*sweepSpec, error) {
+	sp, err := validateSweep(req)
+	switch {
+	case err != nil:
+		return nil, err
+	case req.WarmStart:
+		return nil, badRequestf("durable jobs solve cold sweeps only: warm_start chains widths sequentially and cannot be sharded or checkpointed")
+	case req.TimeoutMS != 0:
+		return nil, badRequestf("durable jobs run detached from the request: timeout_ms is not supported, poll GET /v1/sweeps/{id} instead")
+	case !sp.distributable():
+		return nil, badRequestf("durable jobs need duplicate-free width and wt axes (cells are checkpointed by grid coordinate)")
+	}
+	return sp, nil
 }
 
 // submit validates a sweep, dedupes it against in-flight and finished
@@ -272,30 +290,13 @@ func jobID(sp *sweepSpec, exhaustive, bounded bool, backend string) string {
 // submission returns the existing job.
 func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) {
 	observe := func(result string) { m.srv.metrics.observeJobSubmission(result) }
-	sp, err := validateSweep(req.Design, req.SOC, req.Benchmark, req.Widths, req.WTs)
+	sp, err := validateJob(req)
 	if err != nil {
 		observe(jobSubmitRejected)
 		return nil, false, err
 	}
-	if req.WarmStart {
-		observe(jobSubmitRejected)
-		return nil, false, badRequestf("durable jobs solve cold sweeps only: warm_start chains widths sequentially and cannot be sharded or checkpointed")
-	}
-	if req.TimeoutMS != 0 {
-		observe(jobSubmitRejected)
-		return nil, false, badRequestf("durable jobs run detached from the request: timeout_ms is not supported, poll GET /v1/sweeps/{id} instead")
-	}
-	if !sp.distributable() {
-		observe(jobSubmitRejected)
-		return nil, false, badRequestf("durable jobs need duplicate-free width and wt axes (cells are checkpointed by grid coordinate)")
-	}
 
-	if err := validateBackend(req.Backend); err != nil {
-		observe(jobSubmitRejected)
-		return nil, false, err
-	}
-
-	id := jobID(sp, req.Exhaustive, req.Bounded, req.Backend)
+	id := jobID(sp)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if existing, ok := m.jobs[id]; ok {
@@ -323,18 +324,11 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 	of := m.chooseOf(sp.cells())
 	j = &job{
 		manifest: jobManifest{
-			ID:         id,
-			DesignHash: sp.hash,
-			Design:     req.Design,
-			SOC:        req.SOC,
-			Benchmark:  req.Benchmark,
-			Widths:     sp.widths,
-			WTs:        sp.wts,
-			Exhaustive: req.Exhaustive,
-			Bounded:    req.Bounded,
-			Backend:    req.Backend,
-			Of:         of,
-			CreatedAt:  time.Now().UTC().Format(time.RFC3339),
+			ID:           id,
+			DesignHash:   sp.hash,
+			SweepRequest: sp.req,
+			Of:           of,
+			CreatedAt:    time.Now().UTC().Format(time.RFC3339),
 		},
 		state:     JobStateRunning,
 		shards:    make([]jobShardState, of),
@@ -400,56 +394,29 @@ func (m *jobManager) startRunner(j *job, sp *sweepSpec) {
 	go m.run(j, sp)
 }
 
-// run drives one job to a terminal state: solve every missing shard
-// (fleet or local), checkpoint each partial as it lands, then merge
-// and persist the result. A manager shutdown mid-run leaves the job
-// "running" with its checkpoints on disk — exactly the state recovery
-// resumes from.
+// run drives one job to a terminal state: the shard pipeline solves
+// every shard without a checkpoint (fleet or local) and checkpoints
+// each partial as it lands, then the job merges and persists the
+// result. A manager shutdown mid-run leaves the job "running" with its
+// checkpoints on disk — exactly the state recovery resumes from.
 func (m *jobManager) run(j *job, sp *sweepSpec) {
 	defer m.wg.Done()
 	start := time.Now()
 	of := j.manifest.Of
-	req := SweepRequest{
-		Design:     j.manifest.Design,
-		SOC:        j.manifest.SOC,
-		Benchmark:  j.manifest.Benchmark,
-		Widths:     j.manifest.Widths,
-		WTs:        j.manifest.WTs,
-		Exhaustive: j.manifest.Exhaustive,
-		Bounded:    j.manifest.Bounded,
-		Backend:    j.manifest.Backend,
-	}
-	homes, fleetOK := m.srv.fleet.assign(sp.cells())
-
-	var (
-		wg       sync.WaitGroup
-		failMu   sync.Mutex
-		failures []WorkerFailure
-	)
-	for shard := 0; shard < of; shard++ {
-		j.mu.Lock()
-		have := j.shards[shard].resp != nil
-		j.mu.Unlock()
-		if have {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			resp, fails := m.solveShard(sp, req, shard, of, homes, fleetOK)
-			failMu.Lock()
-			failures = append(failures, fails...)
-			failMu.Unlock()
-			if resp != nil {
-				m.completeShard(j, shard, resp, false)
-			}
-		}(shard)
-	}
-	wg.Wait()
+	homes, _ := m.srv.fleet.assign(sp.cells())
+	failures, _ := m.srv.coord.runShards(m.ctx, sp, of, homes,
+		func(shard int) bool {
+			j.mu.Lock()
+			defer j.mu.Unlock()
+			return j.shards[shard].resp != nil
+		},
+		func(shard int, resp *ShardResponse) { m.completeShard(j, shard, resp, false) })
 
 	if m.ctx.Err() != nil {
 		// Shutting down: leave the job running — its checkpoints are the
-		// resume point for the next process.
+		// resume point for the next process. (The pipeline's error is
+		// m.ctx's; checking the context itself also covers a shutdown
+		// that lands after the last shard.)
 		return
 	}
 	j.mu.Lock()
@@ -459,10 +426,9 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 			j.terminalLocked(JobStateFailed)
 		}
 	} else {
-		sort.Slice(failures, func(a, b int) bool { return failures[a].Shard < failures[b].Shard })
 		j.failures = failures
 		j.errMsg = (&distributedSweepError{Failures: failures}).Error()
-		if !fleetOK {
+		if homes == nil {
 			j.errMsg = fmt.Sprintf("service: sweep job failed: %d of %d shard(s) unsolved", of-j.done, of)
 		}
 		j.terminalLocked(JobStateFailed)
@@ -470,39 +436,6 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 	state := j.state
 	j.mu.Unlock()
 	m.srv.metrics.observeJobFinished(state, time.Since(start))
-}
-
-// solveShard computes one shard's verified partial: through the
-// coordinator's retry loop when the fleet has workers, in-process
-// (holding one worker-pool slot) otherwise. A nil response means the
-// shard failed; the failures say why.
-func (m *jobManager) solveShard(sp *sweepSpec, req SweepRequest, shard, of int, homes []string, fleetOK bool) (*ShardResponse, []WorkerFailure) {
-	if fleetOK {
-		resp, failures, err := m.srv.coord.runShard(m.ctx, sp, req, shard, of, homes[shard%len(homes)])
-		if err != nil && m.ctx.Err() == nil {
-			failures = append(failures, WorkerFailure{Shard: shard, Error: err.Error()})
-		}
-		return resp, failures
-	}
-	resp, err := m.srv.Shard(m.ctx, ShardRequest{
-		Design:     req.Design,
-		SOC:        req.SOC,
-		Benchmark:  req.Benchmark,
-		Widths:     req.Widths,
-		WTs:        req.WTs,
-		Exhaustive: req.Exhaustive,
-		Bounded:    req.Bounded,
-		Backend:    req.Backend,
-		Shard:      shard,
-		Of:         of,
-	})
-	if err != nil {
-		if m.ctx.Err() != nil {
-			return nil, nil
-		}
-		return nil, []WorkerFailure{{Shard: shard, Error: err.Error()}}
-	}
-	return resp, nil
 }
 
 // completeShard records one verified partial: checkpoint it to the job
@@ -543,21 +476,18 @@ func shardFileName(shard, of int) string {
 // bytes a synchronous sweep would have returned, served verbatim by
 // GET /v1/sweeps/{id}/result. Called with j.mu held.
 func (m *jobManager) finishJob(j *job, sp *sweepSpec) error {
-	points := make([]core.SweepPoint, sp.cells())
-	for shard := range j.shards {
-		// Shard s owns dense cells s, s+of, s+2·of, … in order (the
-		// RoundRobin rule), same placement as the synchronous merge.
-		for i, pt := range j.shards[shard].resp.Points {
-			points[shard+i*j.manifest.Of] = pt
-		}
+	parts := make([]*ShardResponse, len(j.shards))
+	for shard, sh := range j.shards {
+		parts[shard] = sh.resp
 	}
-	data, err := json.MarshalIndent(&SweepResponse{DesignHash: sp.hash, Points: points}, "", "  ")
+	resp := mergeShards(sp, parts)
+	data, err := json.MarshalIndent(resp, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if j.dir != "" {
-		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "result.json"), &SweepResponse{DesignHash: sp.hash, Points: points}); err != nil {
+		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "result.json"), resp); err != nil {
 			m.logf("job %s: persisting result: %v", j.manifest.ID, err)
 		}
 	}
@@ -670,7 +600,7 @@ func (j *job) status() *JobResponse {
 }
 
 // recover rebuilds every persisted job from the job directory at boot:
-// manifests are re-validated, each checkpoint re-verified against the
+// manifests are re-validated exactly as a submission is, each checkpoint re-verified against the
 // merge contract (invalid files deleted — they will simply be re-run),
 // finished results loaded, and unfinished jobs resumed with only their
 // missing shards.
@@ -700,14 +630,11 @@ func (m *jobManager) recoverJob(dir string) error {
 	if err := experiments.ReadJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
 		return err
 	}
-	sp, err := validateSweep(man.Design, man.SOC, man.Benchmark, man.Widths, man.WTs)
+	sp, err := validateJob(man.SweepRequest)
 	if err != nil {
 		return fmt.Errorf("manifest does not validate: %w", err)
 	}
-	if err := validateBackend(man.Backend); err != nil {
-		return fmt.Errorf("manifest does not validate: %w", err)
-	}
-	if man.ID != jobID(sp, man.Exhaustive, man.Bounded, man.Backend) {
+	if man.ID != jobID(sp) {
 		return fmt.Errorf("manifest ID %s does not match its content key", man.ID)
 	}
 	if man.DesignHash != sp.hash {

@@ -183,7 +183,7 @@ func New(opts Options) *Server {
 	}
 	client := &http.Client{Transport: newFleetTransport()}
 	s.fleet = newFleet(opts, s.metrics, client, opts.Logf)
-	s.coord = newCoordinator(opts, s.fleet, client, s.metrics)
+	s.coord = newCoordinator(opts, s, client)
 	s.fleet.ensureProbing()
 	// Last: job recovery resumes persisted sweeps through the fleet and
 	// coordinator built above.
@@ -337,59 +337,61 @@ func (s *Server) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, erro
 	return &PlanResponse{DesignHash: hash, Width: req.Width, Weights: weights, Result: res}, nil
 }
 
-// sweepSpec is a validated sweep: the resolved design and hash, the
-// normalized weight axis, and the grid geometry the coordinator's
-// shard numbering derives from.
+// sweepSpec is a validated sweep: the request with its weight axis
+// normalized, the resolved design and hash, and the weight grid the
+// coordinator's shard numbering derives from.
 type sweepSpec struct {
+	req     SweepRequest // WTs defaulted when the request had none
 	design  *core.Design
 	hash    string
-	widths  []int
-	wts     []float64 // normalized WTs (defaulted when the request had none)
 	weights []core.Weights
 }
 
 // cells is the dense grid size, weights-major: cell i is
-// (widths[i%len(widths)], weights[i/len(widths)]).
-func (sp *sweepSpec) cells() int { return len(sp.widths) * len(sp.weights) }
+// (req.Widths[i%len(req.Widths)], weights[i/len(req.Widths)]).
+func (sp *sweepSpec) cells() int { return len(sp.req.Widths) * len(sp.weights) }
 
-// validateSweep checks a sweep's axes, bounds and design — shared by
-// the in-process sweep, the coordinator, and the worker shard endpoint,
-// so all three accept exactly the same grids.
-func validateSweep(design json.RawMessage, soc, benchmark string, widths []int, wts []float64) (*sweepSpec, error) {
-	if len(widths) == 0 {
+// validateSweep checks a sweep's axes, bounds, design and backend —
+// shared by the in-process sweep, the coordinator, durable jobs and the
+// worker shard endpoint, so all of them accept exactly the same grids.
+func validateSweep(req SweepRequest) (*sweepSpec, error) {
+	if len(req.Widths) == 0 {
 		return nil, badRequestf("sweep needs at least one width")
 	}
-	for _, w := range widths {
+	for _, w := range req.Widths {
 		if err := validateWidth(w); err != nil {
 			return nil, err
 		}
 	}
-	if len(wts) == 0 {
-		wts = []float64{0.5}
+	if len(req.WTs) == 0 {
+		req.WTs = []float64{0.5}
 	}
-	weights := make([]core.Weights, len(wts))
-	for i, wt := range wts {
+	weights := make([]core.Weights, len(req.WTs))
+	for i, wt := range req.WTs {
 		w, err := weightsFor(wt)
 		if err != nil {
 			return nil, err
 		}
 		weights[i] = w
 	}
-	if cells := len(widths) * len(weights); cells > MaxSweepCells {
+	if cells := len(req.Widths) * len(weights); cells > MaxSweepCells {
 		return nil, badRequestf("sweep grid of %d cells exceeds the %d-cell bound", cells, MaxSweepCells)
 	}
-	d, err := resolveDesign(design, soc, benchmark)
+	d, err := resolveDesign(req.Design, req.SOC, req.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateDesignWidth(d, widths...); err != nil {
+	if err := validateDesignWidth(d, req.Widths...); err != nil {
 		return nil, err
 	}
 	hash, err := core.DesignHash(d)
 	if err != nil {
 		return nil, err
 	}
-	return &sweepSpec{design: d, hash: hash, widths: widths, wts: wts, weights: weights}, nil
+	if err := validateBackend(req.Backend); err != nil {
+		return nil, err
+	}
+	return &sweepSpec{req: req, design: d, hash: hash, weights: weights}, nil
 }
 
 // distributable reports whether the grid's cells are addressable by
@@ -398,15 +400,15 @@ func validateSweep(design json.RawMessage, soc, benchmark string, widths []int, 
 // axis values still sweeps fine in-process; the coordinator just keeps
 // it local.
 func (sp *sweepSpec) distributable() bool {
-	ws := make(map[int]bool, len(sp.widths))
-	for _, w := range sp.widths {
+	ws := make(map[int]bool, len(sp.req.Widths))
+	for _, w := range sp.req.Widths {
 		if ws[w] {
 			return false
 		}
 		ws[w] = true
 	}
-	ts := make(map[float64]bool, len(sp.wts))
-	for _, wt := range sp.wts {
+	ts := make(map[float64]bool, len(sp.req.WTs))
+	for _, wt := range sp.req.WTs {
 		if ts[wt] {
 			return false
 		}
@@ -421,11 +423,8 @@ func (sp *sweepSpec) distributable() bool {
 // warm-started sweeps — whose cross-width chaining is inherently
 // sequential — and grids with duplicate axis values plan in-process.
 func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
-	sp, err := validateSweep(req.Design, req.SOC, req.Benchmark, req.Widths, req.WTs)
+	sp, err := validateSweep(req)
 	if err != nil {
-		return nil, err
-	}
-	if err := validateBackend(req.Backend); err != nil {
 		return nil, err
 	}
 
@@ -438,12 +437,12 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	defer release()
 
 	if !req.WarmStart && sp.distributable() {
-		if resp, distributed, err := s.coord.sweep(ctx, sp, req); distributed {
+		if resp, distributed, err := s.coord.sweep(ctx, sp); distributed {
 			return resp, err
 		}
 		// distributed == false: the fleet is empty, sweep in-process.
 	}
-	points, err := s.engine.Sweep(ctx, sp.design, sp.widths, sp.weights, core.SweepOptions{
+	points, err := s.engine.Sweep(ctx, sp.design, sp.req.Widths, sp.weights, core.SweepOptions{
 		Exhaustive: req.Exhaustive,
 		Bounded:    req.Bounded,
 		WarmStart:  req.WarmStart,
@@ -460,33 +459,48 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 // through core.SweepOptions.Select so every returned point is
 // bit-identical to the same cell of an unsharded sweep.
 func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, error) {
-	sp, err := validateSweep(req.Design, req.SOC, req.Benchmark, req.Widths, req.WTs)
+	sp, err := validateSweep(SweepRequest{
+		Design:     req.Design,
+		SOC:        req.SOC,
+		Benchmark:  req.Benchmark,
+		Widths:     req.Widths,
+		WTs:        req.WTs,
+		Exhaustive: req.Exhaustive,
+		Bounded:    req.Bounded,
+		Backend:    req.Backend,
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := validateBackend(req.Backend); err != nil {
 		return nil, err
 	}
 	if !sp.distributable() {
 		return nil, badRequestf("shard grids must have duplicate-free width and wt axes")
 	}
-	idx, err := experiments.RoundRobin(sp.cells(), req.Shard, req.Of)
+	return s.solveLocal(ctx, sp, req.Shard, req.Of, req.TimeoutMS)
+}
+
+// solveLocal solves one shard of a validated, distributable sweep
+// in-process, holding one worker-pool slot under the request deadline
+// (timeoutMS as in PlanRequest.TimeoutMS). It serves both POST
+// /v1/shard and the local branch of the shard pipeline.
+func (s *Server) solveLocal(ctx context.Context, sp *sweepSpec, shard, of int, timeoutMS int64) (*ShardResponse, error) {
+	idx, err := experiments.RoundRobin(sp.cells(), shard, of)
 	if err != nil {
 		return nil, badRequestf("%v", err)
 	}
 	if len(idx) == 0 {
-		return nil, badRequestf("shard %d/%d owns no cells of a %d-cell grid", req.Shard, req.Of, sp.cells())
+		return nil, badRequestf("shard %d/%d owns no cells of a %d-cell grid", shard, of, sp.cells())
 	}
 	type cellKey struct {
 		width int
 		time  float64
 	}
+	widths := sp.req.Widths
 	own := make(map[cellKey]bool, len(idx))
 	for _, i := range idx {
-		own[cellKey{sp.widths[i%len(sp.widths)], sp.weights[i/len(sp.widths)].Time}] = true
+		own[cellKey{widths[i%len(widths)], sp.weights[i/len(widths)].Time}] = true
 	}
 
-	ctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(ctx, timeoutMS)
 	defer cancel()
 	release, err := s.acquire(ctx)
 	if err != nil {
@@ -494,10 +508,10 @@ func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, e
 	}
 	defer release()
 
-	points, err := s.engine.Sweep(ctx, sp.design, sp.widths, sp.weights, core.SweepOptions{
-		Exhaustive: req.Exhaustive,
-		Bounded:    req.Bounded,
-		Backend:    req.Backend,
+	points, err := s.engine.Sweep(ctx, sp.design, widths, sp.weights, core.SweepOptions{
+		Exhaustive: sp.req.Exhaustive,
+		Bounded:    sp.req.Bounded,
+		Backend:    sp.req.Backend,
 		Select: func(w int, wt core.Weights) bool {
 			return own[cellKey{w, wt.Time}]
 		},
@@ -505,7 +519,7 @@ func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, e
 	if err != nil {
 		return nil, err
 	}
-	return &ShardResponse{DesignHash: sp.hash, Shard: req.Shard, Of: req.Of, Points: points}, nil
+	return &ShardResponse{DesignHash: sp.hash, Shard: shard, Of: of, Points: points}, nil
 }
 
 // Designs computes the response of GET /v1/designs.
