@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mixsoc/internal/wrapper"
@@ -38,70 +39,66 @@ func randomJobs(seed int64, nJobs, binWidth int) []*Job {
 	return jobs
 }
 
-// earliestFitScan is the per-wire counter-scan oracle for earliestFit:
-// the same candidate sweep, but with the band search done wire by wire
-// over the occupancy counts instead of over the busy bitset.
+// earliestFitScan is the oracle for earliestFit, built from the raw
+// placements alone so it shares no state with the sweep: the candidate
+// start times (0, every end, every start minus dur) are collected and
+// sorted, and each candidate window [t, t+dur) is checked from scratch
+// by scanning every placement for a same-group overlap and counting the
+// wires the overlapping ones occupy, then searching the counts wire by
+// wire for the lowest band of w free wires.
 func (f *fitter) earliestFitScan(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
-	n := len(placements)
-	byStart, byEnd := f.byStart, f.byEnd
-
-	occ := f.occ[:f.binWidth]
-	clear(occ)
-	groupActive := 0
-	si, ei := 0, 0
-	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
-	for t := int64(0); t <= limit; {
-		for si < n && placements[byStart[si]].Start < t+dur {
-			p := &placements[byStart[si]]
+	cands := []int64{0}
+	for i := range placements {
+		cands = append(cands, placements[i].End, placements[i].Start-dur)
+	}
+	slices.Sort(cands)
+	occ := make([]int32, f.binWidth)
+	for _, t := range slices.Compact(cands) {
+		if t < 0 {
+			continue
+		}
+		if t > limit {
+			break
+		}
+		clear(occ)
+		groupHit := false
+		for i := range placements {
+			p := &placements[i]
+			if p.Start >= t+dur || p.End <= t {
+				continue
+			}
+			if j.Group != "" && p.Job.Group == j.Group {
+				groupHit = true
+			}
 			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
 				occ[wire]++
 			}
-			if j.Group != "" && p.Job.Group == j.Group {
-				groupActive++
-			}
-			si++
 		}
-		for ei < n && placements[byEnd[ei]].End <= t {
-			p := &placements[byEnd[ei]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				occ[wire]--
-			}
-			if j.Group != "" && p.Job.Group == j.Group {
-				groupActive--
-			}
-			ei++
+		if groupHit {
+			continue
 		}
-		if groupActive == 0 {
-			// Lowest contiguous band of w free wires in the profile.
-			run := 0
-			for wire := 0; wire < f.binWidth; wire++ {
-				if occ[wire] != 0 {
-					run = 0
-					continue
-				}
-				run++
-				if run >= w {
-					return t, wire - w + 1, true
-				}
+		run := 0
+		for wire := 0; wire < f.binWidth; wire++ {
+			if occ[wire] != 0 {
+				run = 0
+				continue
+			}
+			run++
+			if run >= w {
+				return t, wire - w + 1, true
 			}
 		}
-		nt := gen.next(t)
-		if nt == math.MaxInt64 {
-			break
-		}
-		t = nt
 	}
 	return 0, 0, false
 }
 
 // bestPlacementScan is the oracle for bestPlacement: every width option
-// gets an unpruned counter-scan earliest fit, and the minimum under the
-// same (end, width, start, wire) order wins. Agreeing with it also
-// shows bestPlacement's incumbent prunes change no answer.
+// gets an unpruned earliestFitScan, and the minimum under the same
+// (end, width, start, wire) order wins. Agreeing with it also shows
+// bestPlacement's incumbent prunes change no answer.
 func (f *fitter) bestPlacementScan(j *Job, placements []Placement) (Placement, bool) {
 	var best Placement
 	found := false
-	f.prepare(placements)
 	for _, opt := range f.opts[j] {
 		t, wireLo, ok := f.earliestFitScan(j, opt.Width, opt.Time, placements, math.MaxInt64)
 		if !ok {
@@ -120,11 +117,42 @@ func (f *fitter) bestPlacementScan(j *Job, placements []Placement) (Placement, b
 	return best, found
 }
 
+// checkEdges fails unless the fitter's incrementally maintained edge
+// lists are sorted by time and hold exactly the edges a fresh reset
+// over placements builds. Edges of equal time may sit in any order, so
+// both sides are compared in (time, index) order.
+func checkEdges(t *testing.T, fit *fitter, placements []Placement) {
+	t.Helper()
+	fresh := fit.fork()
+	fresh.reset(placements)
+	canon := func(es []edge) []edge {
+		out := slices.Clone(es)
+		slices.SortFunc(out, func(a, b edge) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.i, b.i)) })
+		return out
+	}
+	for _, l := range []struct {
+		name      string
+		got, want []edge
+	}{{"starts", fit.starts, fresh.starts}, {"ends", fit.ends, fresh.ends}} {
+		if !slices.IsSortedFunc(l.got, byTime) {
+			t.Fatalf("%s not sorted by time: %v", l.name, l.got)
+		}
+		if g, w := canon(l.got), canon(l.want); !slices.Equal(g, w) {
+			t.Fatalf("%s diverge from a fresh reset:\n got  %v\n want %v", l.name, g, w)
+		}
+	}
+}
+
 // FuzzBitmaskFitter packs random job sets in bins of 1 to 256 wires and
-// checks the bitset sweep against the counter-scan oracle at every
-// step: earliestFit must give bit-identical answers for every width
-// option, with and without a pruning limit, and bestPlacement must
-// choose the oracle's placement. Any divergence is a bug in the sweep.
+// then drives a random sequence of take and place steps over the
+// schedule, the way packList, repack and improve mutate it: a taken job
+// is either restored verbatim or set aside and later re-placed at its
+// bestPlacement. After every step the fitter's edge lists must equal a
+// fresh reset, and before every placement the bitset sweep must agree
+// with the from-scratch oracle: earliestFit bit-identical for every
+// width option, with and without a pruning limit, and bestPlacement
+// choosing the oracle's placement. Any divergence is a bug in the sweep
+// or in the incremental edge lists.
 func FuzzBitmaskFitter(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(12))
 	f.Add(int64(7), uint8(1), uint8(5))
@@ -141,6 +169,7 @@ func FuzzBitmaskFitter(f *testing.F) {
 		binWidth := 1 + int(widthByte)
 		n := 2 + int(nByte)%14
 		jobs := randomJobs(seed, n, binWidth)
+		rng := rand.New(rand.NewSource(seed))
 
 		cfg := config{improvePasses: len(jobs), paretoOnly: true}
 		opts := newOptionTable(jobs, binWidth, cfg)
@@ -148,9 +177,8 @@ func FuzzBitmaskFitter(f *testing.F) {
 		oracle := newFitter(opts, binWidth, cfg)
 
 		s := &Schedule{Width: binWidth}
-		for _, j := range jobs {
-			fit.prepare(s.Placements)
-			oracle.prepare(s.Placements)
+		fit.reset(s.Placements)
+		placeBest := func(j *Job) {
 			for _, opt := range opts[j] {
 				for _, limit := range []int64{math.MaxInt64, 100} {
 					ft, fw, fok := fit.earliestFit(j, opt.Width, opt.Time, s.Placements, limit)
@@ -169,13 +197,39 @@ func FuzzBitmaskFitter(f *testing.F) {
 			if !fok {
 				t.Fatalf("could not place %s in width-%d bin", j.ID, binWidth)
 			}
-			s.Placements = append(s.Placements, fp)
-			if fp.End > s.Makespan {
-				s.Makespan = fp.End
+			fit.place(s, fp)
+			checkEdges(t, fit, s.Placements)
+		}
+
+		for _, j := range jobs {
+			placeBest(j)
+		}
+		var aside []*Job
+		for step := 0; step < 4*n; step++ {
+			if len(aside) > 0 && (len(s.Placements) == 0 || rng.Intn(2) == 0) {
+				k := rng.Intn(len(aside))
+				j := aside[k]
+				aside = slices.Delete(aside, k, k+1)
+				placeBest(j)
+				continue
+			}
+			removed := fit.take(s, rng.Intn(len(s.Placements)))
+			checkEdges(t, fit, s.Placements)
+			if rng.Intn(2) == 0 {
+				fit.place(s, removed)
+				checkEdges(t, fit, s.Placements)
+			} else {
+				aside = append(aside, removed.Job)
 			}
 		}
+		for _, j := range aside {
+			placeBest(j)
+		}
+		for i := range s.Placements {
+			s.Makespan = max(s.Makespan, s.Placements[i].End)
+		}
 		if err := s.Validate(); err != nil {
-			t.Fatalf("packed schedule invalid: %v", err)
+			t.Fatalf("schedule invalid after the place/take walk: %v", err)
 		}
 	})
 }

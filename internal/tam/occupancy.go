@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"mixsoc/internal/wrapper"
 )
@@ -12,24 +13,28 @@ import (
 // fitter answers earliest-fit queries against a schedule's placements
 // with a single time sweep per query instead of the per-candidate full
 // rescans of the naive formulation. One fitter serves one packing
-// goroutine: it owns reusable scratch buffers (start/end-sorted
-// placement indices and a per-wire occupancy profile) so steady-state
-// queries allocate nothing. The per-job width options (the Pareto
-// staircase, or the full staircase under WithFullStaircase) are
-// precomputed once per Optimize call and shared read-only between
-// fitters.
+// goroutine and mirrors one schedule at a time: it owns the schedule's
+// start- and end-sorted edge lists plus reusable scratch buffers (a
+// per-wire occupancy profile and a busy bitset), so steady-state queries
+// allocate nothing. The per-job width options (the Pareto staircase, or
+// the full staircase under WithFullStaircase) are precomputed once per
+// Optimize call and shared read-only between fitters.
 //
-// Two speedups over the naive rescan live here:
+// Three speedups over the naive rescan live here:
 //
+//   - the edge lists are kept sorted as the schedule changes: reset
+//     builds them once, and place and take — the only ways the packing
+//     loops add or remove a placement — insert by binary search and drop
+//     by one filtering pass, so no query ever sorts;
 //   - the candidate start times of a query (0, each placed rectangle's
 //     end, and each start minus the query duration) are not collected
 //     and sorted per width option; they are generated in ascending
-//     order by merging the byStart/byEnd index orders, which
-//     bestPlacement builds once per job and shares across every width
-//     option of that job;
+//     order by merging the two edge lists (candGen), whose inline time
+//     and band keys the sweep reads without touching the placements;
 //   - the band search maintains a busy bitset alongside the per-wire
-//     counters and finds the lowest free band a word at a time (see
-//     lowestFreeRun), for every bin width. A per-wire counter scan
+//     counters, admits a placement's whole band with one word-OR per
+//     word (setBand), and finds the lowest free band a word at a time
+//     (see lowestFreeRun), for every bin width. A per-wire counter scan
 //     survives only in the tests, as the oracle FuzzBitmaskFitter
 //     checks this sweep against.
 type fitter struct {
@@ -40,11 +45,25 @@ type fitter struct {
 	// newOptionTable. Read-only after construction; safe to share.
 	opts map[*Job][]wrapper.Point
 
+	// Edge lists of the mirrored schedule, one edge per placement each,
+	// ascending by time. Only reset, place and take change them.
+	starts []edge // t = Start
+	ends   []edge // t = End
+
 	// Scratch buffers, reused across queries.
-	byStart []int32  // placement indices ordered by Start
-	byEnd   []int32  // placement indices ordered by End
-	occ     []int32  // occupancy count per wire during the sweep window
-	busy    []uint64 // bit per wire: set iff its occ count is nonzero
+	occ  []int32  // occupancy count per wire during the sweep window
+	busy []uint64 // bit per wire: set iff its occ count is nonzero
+}
+
+// edge is one side of a placement's time interval as the sweep sees it:
+// the start or end time, the placement's index in the schedule, and its
+// wire band [lo, lo+w). The order among edges of equal time affects no
+// answer, since every edge of one time crosses the window boundary in
+// the same sweep step.
+type edge struct {
+	t     int64
+	i     int32
+	lo, w int32
 }
 
 // newOptionTable precomputes the width options the packer will try for
@@ -58,39 +77,87 @@ func newOptionTable(jobs []*Job, binWidth int, cfg config) map[*Job][]wrapper.Po
 	return opts
 }
 
+// newFitter sizes the edge lists for every job of the option table, so
+// place never grows them.
 func newFitter(opts map[*Job][]wrapper.Point, binWidth int, cfg config) *fitter {
 	return &fitter{
 		binWidth: binWidth,
 		cfg:      cfg,
 		opts:     opts,
+		starts:   make([]edge, 0, len(opts)),
+		ends:     make([]edge, 0, len(opts)),
 		occ:      make([]int32, binWidth),
 		busy:     make([]uint64, (binWidth+63)/64),
 	}
 }
 
 // fork returns a fitter sharing the read-only option table but owning
-// fresh scratch buffers, for use by a concurrent packing goroutine.
+// fresh edge lists and scratch buffers, for use by a concurrent packing
+// goroutine.
 func (f *fitter) fork() *fitter { return newFitter(f.opts, f.binWidth, f.cfg) }
 
-// prepare (re)builds the start- and end-sorted placement index orders
-// the sweep cursors walk. The orders do not depend on the queried
-// rectangle, so bestPlacement builds them once and reuses them across
-// every width option of a job; they must be rebuilt whenever the
-// placements slice changes.
-func (f *fitter) prepare(placements []Placement) {
-	byStart := f.byStart[:0]
-	byEnd := f.byEnd[:0]
-	for i := 0; i < len(placements); i++ {
-		byStart = append(byStart, int32(i))
-		byEnd = append(byEnd, int32(i))
+// reset makes the fitter mirror placements, rebuilding both edge lists
+// from scratch. Every packing loop calls it once on entry; from then on
+// the schedule may change only through place and take.
+func (f *fitter) reset(placements []Placement) {
+	f.starts, f.ends = f.starts[:0], f.ends[:0]
+	for i := range placements {
+		p := &placements[i]
+		f.starts = append(f.starts, edgeOf(p, i, p.Start))
+		f.ends = append(f.ends, edgeOf(p, i, p.End))
 	}
-	slices.SortFunc(byStart, func(a, b int32) int {
-		return cmp.Compare(placements[a].Start, placements[b].Start)
-	})
-	slices.SortFunc(byEnd, func(a, b int32) int {
-		return cmp.Compare(placements[a].End, placements[b].End)
-	})
-	f.byStart, f.byEnd = byStart, byEnd
+	slices.SortFunc(f.starts, byTime)
+	slices.SortFunc(f.ends, byTime)
+}
+
+// place appends p to the schedule's placements and inserts its edges
+// in order.
+func (f *fitter) place(s *Schedule, p Placement) {
+	i := len(s.Placements)
+	s.Placements = append(s.Placements, p)
+	f.starts = insertEdge(f.starts, edgeOf(&p, i, p.Start))
+	f.ends = insertEdge(f.ends, edgeOf(&p, i, p.End))
+}
+
+// take swap-removes placement i from the schedule (the last placement
+// moves into slot i), drops i's edges, relabels the moved placement's,
+// and returns the removed placement.
+func (f *fitter) take(s *Schedule, i int) Placement {
+	p := s.Placements[i]
+	last := len(s.Placements) - 1
+	s.Placements[i] = s.Placements[last]
+	s.Placements = s.Placements[:last]
+	f.starts = dropEdge(f.starts, int32(i), int32(last))
+	f.ends = dropEdge(f.ends, int32(i), int32(last))
+	return p
+}
+
+func edgeOf(p *Placement, i int, t int64) edge {
+	return edge{t: t, i: int32(i), lo: int32(p.WireLo), w: int32(p.Width)}
+}
+
+func byTime(a, b edge) int { return cmp.Compare(a.t, b.t) }
+
+// insertEdge inserts e after every edge of time <= e.t.
+func insertEdge(es []edge, e edge) []edge {
+	k := sort.Search(len(es), func(k int) bool { return es[k].t > e.t })
+	return slices.Insert(es, k, e)
+}
+
+// dropEdge removes the edge of placement i and relabels placement
+// last's edge to i, in one order-preserving pass.
+func dropEdge(es []edge, i, last int32) []edge {
+	out := es[:0]
+	for _, e := range es {
+		if e.i == i {
+			continue
+		}
+		if e.i == last {
+			e.i = i
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // candGen yields the candidate start times of one earliest-fit query in
@@ -98,33 +165,30 @@ func (f *fitter) prepare(placements []Placement) {
 // their starts minus the query duration (a window can also become
 // feasible right before a rectangle begins) — the same candidate set as
 // a full collect-and-sort, produced by merging the already-sorted
-// byStart and byEnd index orders with two monotone cursors. This is
-// what lets one prepare() serve every width option of a job: the
-// duration-dependent candidate stream costs O(n) per option instead of
-// an O(n log n) sort.
+// starts and ends edge lists with two monotone cursors. Since the lists
+// stay sorted across queries, the duration-dependent candidate stream
+// costs O(n) per width option and no query sorts at all.
 type candGen struct {
-	placements []Placement
-	byStart    []int32
-	byEnd      []int32
-	dur        int64
-	ce, cs     int // cursors into byEnd / byStart
+	starts, ends []edge
+	dur          int64
+	ce, cs       int // cursors into ends / starts
 }
 
 // next returns the smallest candidate strictly greater than t, or
 // math.MaxInt64 when exhausted.
 func (g *candGen) next(t int64) int64 {
-	for g.ce < len(g.byEnd) && g.placements[g.byEnd[g.ce]].End <= t {
+	for g.ce < len(g.ends) && g.ends[g.ce].t <= t {
 		g.ce++
 	}
-	for g.cs < len(g.byStart) && g.placements[g.byStart[g.cs]].Start-g.dur <= t {
+	for g.cs < len(g.starts) && g.starts[g.cs].t-g.dur <= t {
 		g.cs++
 	}
 	nxt := int64(math.MaxInt64)
-	if g.ce < len(g.byEnd) {
-		nxt = g.placements[g.byEnd[g.ce]].End
+	if g.ce < len(g.ends) {
+		nxt = g.ends[g.ce].t
 	}
-	if g.cs < len(g.byStart) {
-		if s := g.placements[g.byStart[g.cs]].Start - g.dur; s < nxt {
+	if g.cs < len(g.starts) {
+		if s := g.starts[g.cs].t - g.dur; s < nxt {
 			nxt = s
 		}
 	}
@@ -134,10 +198,10 @@ func (g *candGen) next(t int64) int64 {
 // earliestFit returns the earliest start time (and lowest wire band) at
 // which a w×dur rectangle for job j fits among the placements: no wire
 // conflicts and no time overlap with j's serialization group. The
-// caller must have called prepare on the same placements slice.
-// Candidates greater than limit are not considered: callers pass the
-// largest start that could still matter to them, which prunes the sweep
-// without changing any answer they act on.
+// fitter must mirror placements (see reset). Candidates greater than
+// limit are not considered: callers pass the largest start that could
+// still matter to them, which prunes the sweep without changing any
+// answer they act on.
 //
 // The candidates are visited in ascending order while two monotone
 // cursors maintain the set of placements overlapping the moving window
@@ -150,8 +214,9 @@ func (g *candGen) next(t int64) int64 {
 // word steps plus one step per free/busy transition instead of an O(W)
 // per-wire scan.
 func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, limit int64) (int64, int, bool) {
-	n := len(placements)
-	byStart, byEnd := f.byStart, f.byEnd
+	starts, ends := f.starts, f.ends
+	n := len(starts)
+	group := j.Group
 
 	occ := f.occ[:f.binWidth]
 	clear(occ)
@@ -159,33 +224,36 @@ func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, l
 	clear(busy)
 	groupActive := 0
 	si, ei := 0, 0
-	gen := candGen{placements: placements, byStart: byStart, byEnd: byEnd, dur: dur}
+	gen := candGen{starts: starts, ends: ends, dur: dur}
 	for t := int64(0); t <= limit; {
 		// Admit placements entering the window: Start < t+dur. A
 		// placement that also already ended (End <= t) is retired by the
 		// second cursor in the same step, so the profile stays exact.
-		for si < n && placements[byStart[si]].Start < t+dur {
-			p := &placements[byStart[si]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				if occ[wire] == 0 {
-					busy[wire>>6] |= 1 << uint(wire&63)
-				}
-				occ[wire]++
+		// Every wire of an admitted band is busy afterwards, so the
+		// bitset takes the whole band at once.
+		for si < n && starts[si].t < t+dur {
+			e := &starts[si]
+			band := occ[e.lo : e.lo+e.w]
+			for k := range band {
+				band[k]++
 			}
-			if j.Group != "" && p.Job.Group == j.Group {
+			setBand(busy, int(e.lo), int(e.w))
+			if group != "" && placements[e.i].Job.Group == group {
 				groupActive++
 			}
 			si++
 		}
-		for ei < n && placements[byEnd[ei]].End <= t {
-			p := &placements[byEnd[ei]]
-			for wire := p.WireLo; wire < p.WireLo+p.Width; wire++ {
-				occ[wire]--
-				if occ[wire] == 0 {
+		for ei < n && ends[ei].t <= t {
+			e := &ends[ei]
+			band := occ[e.lo : e.lo+e.w]
+			for k := range band {
+				band[k]--
+				if band[k] == 0 {
+					wire := int(e.lo) + k
 					busy[wire>>6] &^= 1 << uint(wire&63)
 				}
 			}
-			if j.Group != "" && p.Job.Group == j.Group {
+			if group != "" && placements[e.i].Job.Group == group {
 				groupActive--
 			}
 			ei++
@@ -202,6 +270,21 @@ func (f *fitter) earliestFit(j *Job, w int, dur int64, placements []Placement, l
 		t = nt
 	}
 	return 0, 0, false
+}
+
+// setBand sets bits [lo, lo+w) of the bitset, one word-OR per word the
+// band touches.
+func setBand(busy []uint64, lo, w int) {
+	for w > 0 {
+		off := lo & 63
+		n := 64 - off
+		if n > w {
+			n = w
+		}
+		busy[lo>>6] |= (^uint64(0) >> uint(64-n)) << uint(off)
+		lo += n
+		w -= n
+	}
 }
 
 // lowestFreeRun returns the lowest wire index starting a run of w free
@@ -259,12 +342,13 @@ func lowestFreeRun(busy []uint64, binWidth, w int) int {
 }
 
 // bestPlacement finds the placement of j minimizing (end, width, start,
-// wire) against the current placements. One pair of sorted cursor
-// orders serves every width option of the job; options whose bare
+// wire) against the current placements. The fitter's edge lists serve
+// every width option of the job; options whose bare
 // duration already exceeds the incumbent end are skipped, and each
 // option's sweep stops at the last start that could still tie the
 // incumbent — both prunes are exact under the (end, width, start, wire)
 // order, so the chosen placement is identical to an unpruned search.
+// The fitter must mirror placements (see reset).
 func (f *fitter) bestPlacement(j *Job, placements []Placement) (Placement, bool) {
 	var best Placement
 	found := false
@@ -284,7 +368,6 @@ func (f *fitter) bestPlacement(j *Job, placements []Placement) (Placement, bool)
 		return p.WireLo < best.WireLo
 	}
 
-	f.prepare(placements)
 	for _, opt := range f.opts[j] {
 		limit := int64(math.MaxInt64)
 		if found {

@@ -306,12 +306,13 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 		return nil
 	}
 	s := &Schedule{Width: width, Placements: make([]Placement, 0, len(order))}
+	f.reset(s.Placements)
 	for _, j := range order {
 		p, ok := f.bestPlacement(j, s.Placements)
 		if !ok {
 			return nil
 		}
-		s.Placements = append(s.Placements, p)
+		f.place(s, p)
 		if p.End > s.Makespan {
 			s.Makespan = p.End
 		}
@@ -324,6 +325,7 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 func packList(order []*Job, f *fitter) (*Schedule, error) {
 	s := &Schedule{Width: f.binWidth}
 	s.Placements = make([]Placement, 0, len(order))
+	f.reset(s.Placements)
 	for _, j := range order {
 		if err := f.cfg.ctxErr(); err != nil {
 			return nil, err
@@ -332,7 +334,7 @@ func packList(order []*Job, f *fitter) (*Schedule, error) {
 		if !ok {
 			return nil, fmt.Errorf("tam: could not place job %s", j.ID)
 		}
-		s.Placements = append(s.Placements, p)
+		f.place(s, p)
 		if p.End > s.Makespan {
 			s.Makespan = p.End
 		}
@@ -350,6 +352,7 @@ func packList(order []*Job, f *fitter) (*Schedule, error) {
 // the job's end nor the makespan ever increases.
 func repack(s *Schedule, f *fitter) {
 	done := make(map[*Job]bool, len(s.Placements))
+	f.reset(s.Placements)
 	for {
 		// On cancellation the schedule is abandoned by Optimize, so
 		// bailing between steps (possibly leaving Makespan un-tightened)
@@ -371,16 +374,13 @@ func repack(s *Schedule, f *fitter) {
 		if worst < 0 {
 			break
 		}
-		removed := s.Placements[worst]
+		removed := f.take(s, worst)
 		done[removed.Job] = true
-		last := len(s.Placements) - 1
-		s.Placements[worst] = s.Placements[last]
-		s.Placements = s.Placements[:last]
 		p, ok := f.bestPlacement(removed.Job, s.Placements)
 		if !ok || p.End > removed.End {
 			p = removed
 		}
-		s.Placements = append(s.Placements, p)
+		f.place(s, p)
 	}
 	s.Makespan = 0
 	for i := range s.Placements {
@@ -424,6 +424,7 @@ func candidateWidths(j *Job, binWidth int, cfg config) []wrapper.Point {
 // stops once a whole pass leaves every makespan-defining job in place.
 func improve(s *Schedule, f *fitter) {
 	tried := make(map[*Job]bool)
+	f.reset(s.Placements)
 	for pass := 0; pass < f.cfg.improvePasses; pass++ {
 		clear(tried)
 		moved := false
@@ -446,11 +447,8 @@ func improve(s *Schedule, f *fitter) {
 			if worst < 0 {
 				break
 			}
-			removed := s.Placements[worst]
+			removed := f.take(s, worst)
 			tried[removed.Job] = true
-			last := len(s.Placements) - 1
-			s.Placements[worst] = s.Placements[last]
-			s.Placements = s.Placements[:last]
 
 			p, ok := f.bestPlacement(removed.Job, s.Placements)
 			if !ok || p.End >= s.Makespan {
@@ -460,7 +458,7 @@ func improve(s *Schedule, f *fitter) {
 			} else {
 				moved = true
 			}
-			s.Placements = append(s.Placements, p)
+			f.place(s, p)
 		}
 		if !moved {
 			return

@@ -112,12 +112,13 @@ func TestRepackAndImproveAreMonotoneAndValid(t *testing.T) {
 		f := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
 		// Greedy pass without polish, in insertion order.
 		s := &Schedule{Width: width}
+		f.reset(s.Placements)
 		for _, j := range jobs {
 			p, ok := f.bestPlacement(j, s.Placements)
 			if !ok {
 				t.Fatalf("trial %d: could not place %s", trial, j.ID)
 			}
-			s.Placements = append(s.Placements, p)
+			f.place(s, p)
 			if p.End > s.Makespan {
 				s.Makespan = p.End
 			}
