@@ -296,10 +296,10 @@ func (s *engineSession) newStairs(maxW int) *wrapper.StaircaseCache {
 	return sc
 }
 
-// sweepStairs implements sweepCaches: the session's staircase cache,
-// grown (replaced by a wider, initially empty one) when a sweep needs
-// widths beyond what it precomputes. The prefix property makes a wider
-// cache's answers bit-identical to the old one's.
+// sweepStairs returns the session's staircase cache, grown (replaced
+// by a wider, initially empty one) when a call needs widths beyond
+// what it precomputes. The prefix property makes a wider cache's
+// answers bit-identical to the old one's.
 func (s *engineSession) sweepStairs(maxW int) *wrapper.StaircaseCache {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,18 +309,12 @@ func (s *engineSession) sweepStairs(maxW int) *wrapper.StaircaseCache {
 	return s.stairs
 }
 
-// sweepDigital implements sweepDigitalJobs: sweeps over this session
-// draw built digital job slices from the engine's cross-design cache.
-func (s *engineSession) sweepDigital() (*DigitalJobsCache, string) {
-	return s.engine.digitalJobs, s.digitalHash
-}
-
-// sweepCache implements sweepCaches: the session's cold schedule cache
-// for width w under the canonically named packing backend, created on
-// first use. (width, backend) pairs are LRU-bounded
-// (maxWidths): evicting one only unshares it — planners already
-// holding the cache keep using it safely — so a client scanning
-// thousands of widths cannot grow the session without limit.
+// sweepCache returns the session's cold schedule cache for width w
+// under the canonically named packing backend, created on first use.
+// (width, backend) pairs are LRU-bounded (maxWidths): evicting one
+// only unshares it — planners already holding the cache keep using it
+// safely — so a client scanning thousands of widths cannot grow the
+// session without limit.
 func (s *engineSession) sweepCache(w int, backend string) *ScheduleCache {
 	key := widthKey{width: w, backend: backend}
 	s.mu.Lock()
@@ -347,28 +341,19 @@ func (s *engineSession) sweepCache(w int, backend string) *ScheduleCache {
 	return c.cache
 }
 
-// sweepPacker implements sweepPackers: engine sweeps pack through the
-// engine's instrumented backends.
-func (s *engineSession) sweepPacker(name string) (tam.Packer, error) {
-	return s.engine.packerFor(name)
-}
-
-// planner builds a planner wired to the session's caches, with the
-// paper's defaults — exactly what the one-shot Plan free function runs,
-// plus cache reuse. Packing goes through the selected backend (or the
-// tournament) and that backend's own schedule cache.
-func (s *engineSession) planner(width int, w Weights, workers int, backend string) (*Planner, error) {
-	pk, err := s.engine.packerFor(backend)
-	if err != nil {
-		return nil, err
-	}
+// planner builds a planner wired to the session's staircase and
+// digital-jobs caches, with the paper's defaults — exactly what the
+// one-shot Plan free function runs, plus cache reuse. Packing goes
+// through pk, a packer resolved by Engine.packerFor, against cache,
+// which must be private to pk's backend.
+func (s *engineSession) planner(width int, w Weights, workers int, pk tam.Packer, cache *ScheduleCache) *Planner {
 	pl := NewPlanner(s.design, width, w)
-	pl.Cache = s.sweepCache(width, pk.Name())
+	pl.Cache = cache
 	pl.Staircases = s.sweepStairs(width)
-	pl.Digital, pl.DigitalKey = s.sweepDigital()
+	pl.Digital, pl.DigitalKey = s.engine.digitalJobs, s.digitalHash
 	pl.Workers = workers
 	pl.Packer = pk
-	return pl, nil
+	return pl
 }
 
 // PlanOptions selects the solver variant of Engine.PlanWith.
@@ -410,10 +395,11 @@ func (e *Engine) PlanWith(ctx context.Context, d *Design, width int, w Weights, 
 	}
 	s.plans.Add(1)
 	e.plans.Add(1)
-	pl, err := s.planner(width, w, e.workers(), opts.Backend)
+	pk, err := e.packerFor(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
+	pl := s.planner(width, w, e.workers(), pk, s.sweepCache(width, pk.Name()))
 	pl.Bounded = opts.Bounded
 	if opts.Exhaustive {
 		return pl.ExhaustiveContext(ctx)
@@ -433,19 +419,22 @@ func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition,
 	s.plans.Add(1)
 	e.plans.Add(1)
 	// Schedules do not depend on the cost weights.
-	pl, err := s.planner(width, EqualWeights, e.workers(), "")
+	pk, err := e.packerFor("")
 	if err != nil {
 		return nil, err
 	}
+	pl := s.planner(width, EqualWeights, e.workers(), pk, s.sweepCache(width, pk.Name()))
 	return pl.evaluator().ScheduleContext(ctx, p)
 }
 
 // Sweep solves the planning problem across TAM widths and weight
-// settings against the design's cache session; see SweepWithContext
-// for the cancellation contract. Cold sweeps read and populate the
-// session's schedule caches (bit-identical to one-shot SweepWith);
-// WarmStart sweeps draw only the staircase cache, keeping the shared
-// schedule caches strictly cold.
+// settings against the design's cache session. Cold sweeps read and
+// populate the session's schedule caches (bit-identical to one-shot
+// SweepWith); WarmStart sweeps draw only the staircase cache, keeping
+// the shared schedule caches strictly cold. Once ctx fires no new grid
+// point is dispatched, the in-flight planners abort at their next
+// cancellation point, and the call returns ctx.Err(); schedules whose
+// packing was aborted are dropped from the caches rather than memoized.
 func (e *Engine) Sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
 	s, err := e.session(d)
 	if err != nil {
@@ -453,10 +442,7 @@ func (e *Engine) Sweep(ctx context.Context, d *Design, widths []int, weights []W
 	}
 	s.plans.Add(1)
 	e.plans.Add(1)
-	if opt.Workers == 0 {
-		opt.Workers = e.workers()
-	}
-	return sweepWithCaches(ctx, s.design, widths, weights, opt, s)
+	return s.sweep(ctx, widths, weights, opt)
 }
 
 // DesignInfo describes one live cache session of an Engine.

@@ -286,9 +286,10 @@ func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string,
 	ent.s, ent.err = e.Packer.Pack(jobs, e.Width, opts...)
 }
 
-// Schedule returns the rectangle-packed schedule for configuration p,
-// computing it on first use anywhere (this evaluator or a shared cache)
-// and counting it toward Runs on first use here.
+// Schedule returns the schedule e.Packer (the occupancy backend unless
+// set otherwise) packs for configuration p, computing it on first use
+// anywhere (this evaluator or a shared cache) and counting it toward
+// Runs on first use here.
 func (e *Evaluator) Schedule(p partition.Partition) (*tam.Schedule, error) {
 	return e.ScheduleContext(nil, p)
 }

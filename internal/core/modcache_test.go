@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"mixsoc/internal/tam"
@@ -132,6 +133,45 @@ func TestModuleCacheSharesAcrossSessions(t *testing.T) {
 	pm := plain.Metrics()
 	if pm.ModuleStairs.Hits != 0 || pm.ModuleStairs.Misses != 0 || pm.DigitalJobs.Hits != 0 {
 		t.Errorf("disabled module cache still counted: %+v %+v", pm.ModuleStairs, pm.DigitalJobs)
+	}
+}
+
+// TestModuleCacheSweepsAcrossSessions is the sweep counterpart of
+// TestModuleCacheSharesAcrossSessions: on one long-lived engine with
+// the module caches on, sweeping a design and then its near-duplicate
+// returns exactly the one-shot SweepWith points — under every solver
+// and both single backends — and the second design's sweep draws its
+// common modules' staircases from the cross-design store.
+func TestModuleCacheSweepsAcrossSessions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+	a := paperDesign()
+	b := nearDuplicate(t, a)
+	widths := []int{24, 32}
+	weights := []Weights{EqualWeights, {Time: 0.25, Area: 0.75}}
+	for _, backend := range []string{"", "rectangle"} {
+		for _, exhaustive := range []bool{false, true} {
+			opt := SweepOptions{Exhaustive: exhaustive, Backend: backend}
+			eng := NewEngine(EngineOptions{})
+			for i, d := range []*Design{a, b} {
+				hits := eng.Metrics().ModuleStairs.Hits
+				got, err := eng.Sweep(context.Background(), d, widths, weights, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := SweepWith(d, widths, weights, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %+v: engine sweep diverges from SweepWith", d.Name, opt)
+				}
+				if i == 1 && eng.Metrics().ModuleStairs.Hits == hits {
+					t.Errorf("%s %+v: near-duplicate sweep registered no module staircase hits", d.Name, opt)
+				}
+			}
+		}
 	}
 }
 

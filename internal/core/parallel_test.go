@@ -97,7 +97,7 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	// Force a multi-worker pool even on a single-CPU machine so the
 	// concurrent path is actually exercised (and raced under -race).
 	old := runtime.GOMAXPROCS(4)
-	points, err := Sweep(d, widths, weights, false, nil)
+	points, err := SweepWith(d, widths, weights, SweepOptions{})
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)

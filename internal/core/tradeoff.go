@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"mixsoc/internal/partition"
-	"mixsoc/internal/tam"
 	"mixsoc/internal/wrapper"
 )
 
@@ -17,7 +16,8 @@ type SweepPoint struct {
 	Result  *Result
 }
 
-// SweepOptions configures SweepWith.
+// SweepOptions configures Engine.Sweep (and SweepWith, its one-shot
+// form on a private engine).
 type SweepOptions struct {
 	// Exhaustive solves every point optimally; otherwise the
 	// Cost_Optimizer heuristic runs.
@@ -52,8 +52,8 @@ type SweepOptions struct {
 	// cost model; it must not change the planner's Design, Width, or
 	// caches, and must be safe to call concurrently.
 	Configure func(*Planner)
-	// Workers bounds the sweep's total CPU budget; 0 means
-	// DefaultWorkers.
+	// Workers bounds the sweep's total CPU budget; 0 means the engine's
+	// budget (EngineOptions.Workers, DefaultWorkers for SweepWith).
 	Workers int
 	// Backend selects the packing backend by name for every grid point
 	// (see PlanOptions.Backend). Empty is the default occupancy backend;
@@ -75,94 +75,53 @@ type SweepOptions struct {
 	Select func(width int, weights Weights) bool
 }
 
-// Sweep solves the planning problem across TAM widths and weight
-// settings — the cost surface the paper's Table 4 explores — with the
-// default options (cold packing). See SweepWith.
-func Sweep(d *Design, widths []int, weights []Weights, exhaustive bool, configure func(*Planner)) ([]SweepPoint, error) {
-	return SweepWith(d, widths, weights, SweepOptions{Exhaustive: exhaustive, Configure: configure})
-}
-
 // SweepWith solves the planning problem across TAM widths and weight
-// settings. Grid points at the same TAM width share one schedule cache
-// (test schedules do not depend on the cost weights), and the whole
-// sweep shares one wrapper staircase cache (a module's staircase at a
-// narrower width is a prefix of its staircase at a wider one), so no
-// configuration is ever packed — and no wrapper ever designed — twice.
-// The returned slice is ordered weights-major exactly as a sequential
-// sweep.
-//
-// Without WarmStart the grid points fan out across the worker pool and
-// the result is bit-identical to a sequential cold sweep. With
-// WarmStart the width dimension runs one width at a time in the
-// caller's order, each width seeded from the nearest completed widths
-// (see SweepOptions.WarmStart). With Select only the chosen grid
-// points are solved — and only their widths ever allocate a schedule
-// cache or design a wrapper staircase.
+// settings — the cost surface the paper's Table 4 explores — on a
+// private Engine with the module caches off: fresh schedule caches, no
+// state shared with any other call. It is Engine.Sweep's one-shot
+// form, and the cache-less reference its results are compared against.
 func SweepWith(d *Design, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
-	return SweepWithContext(context.Background(), d, widths, weights, opt)
+	maxW := 0
+	for _, w := range widths {
+		maxW = max(maxW, w)
+	}
+	e := NewEngine(EngineOptions{Workers: opt.Workers, MaxWidth: maxW, DisableModuleCache: true})
+	return e.Sweep(context.Background(), d, widths, weights, opt)
 }
 
-// SweepWithContext is SweepWith under a context: once ctx fires no new
-// grid point is dispatched, the in-flight planners abort at their next
-// cancellation point, and the call returns ctx.Err(). Schedules whose
-// packing was aborted are dropped from the caches rather than memoized,
-// so the sweep's caches stay consistent across a cancellation.
-func SweepWithContext(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
-	return sweepWithCaches(ctx, d, widths, weights, opt, nil)
-}
-
-// sweepCaches supplies the caches a sweep plans against. The default
-// (nil) provider allocates fresh ones per sweep; an Engine session
-// provides its long-lived per-design caches instead, so repeated
-// sweeps over the same design reuse each other's packings.
-type sweepCaches interface {
-	// sweepStairs returns a staircase cache covering widths up to maxW.
-	sweepStairs(maxW int) *wrapper.StaircaseCache
-	// sweepCache returns the cold schedule cache for width w under the
-	// packing backend of the given canonical name (a resolved packer's
-	// Name); distinct backends must get distinct caches.
-	sweepCache(w int, backend string) *ScheduleCache
-}
-
-// sweepPackers is an optional extension of sweepCaches: providers that
-// instrument packing (the engine's per-backend counters) resolve
-// backend names themselves. Without it the sweep uses PackerFor.
-type sweepPackers interface {
-	sweepPacker(name string) (tam.Packer, error)
-}
-
-// sweepDigitalJobs is an optional extension of sweepCaches: providers
-// that also share digital TAM-job construction across designs return
-// their cache and the design's DigitalHash key here.
-type sweepDigitalJobs interface {
-	sweepDigital() (*DigitalJobsCache, string)
-}
-
-// sweepWithCaches is the sweep engine room. Schedule caches come from
-// the provider only for cold sweeps: a WarmStart sweep packs along a
-// different search trajectory, so its schedules must never enter a
-// shared cold cache (they would break the bit-identity of later cold
-// calls); it still shares the staircase cache, which is exact.
-func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions, prov sweepCaches) ([]SweepPoint, error) {
+// sweep fans the (width × weights) grid out to planners wired to the
+// session's caches. Grid points at the same TAM width share one
+// schedule cache (test schedules do not depend on the cost weights),
+// and the whole sweep shares the session's staircase cache (a module's
+// staircase at a narrower width is a prefix of its staircase at a
+// wider one), so no configuration is ever packed — and no wrapper ever
+// designed — twice. The returned slice is ordered weights-major exactly
+// as a sequential sweep.
+//
+// Without WarmStart the selected grid points fan out across the worker
+// pool against the session's cold schedule caches, and the result is
+// bit-identical to a sequential cold sweep. With WarmStart the width
+// dimension runs one width at a time in the caller's order, each width
+// seeded from the nearest completed widths (see SweepOptions.WarmStart);
+// warm-started packing follows a different search trajectory, so those
+// schedules go to fresh caches and never enter the session's cold ones.
+// Only the selected widths ever get a schedule cache.
+func (s *engineSession) sweep(ctx context.Context, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
 	if len(widths) == 0 || len(weights) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one width and one weight setting")
 	}
 	workers := opt.Workers
 	if workers < 1 {
-		workers = DefaultWorkers()
+		workers = s.engine.workers()
 	}
-	selected := func(w int, wt Weights) bool {
-		return opt.Select == nil || opt.Select(w, wt)
-	}
-	// Dense grid indices of the selected points, weights-major; the
-	// staircase and schedule caches cover exactly the selected widths.
+	// Dense grid indices of the selected points, weights-major.
 	keep := make([]int, 0, len(weights)*len(widths))
 	keepSet := make(map[int]bool, len(weights)*len(widths))
 	maxW := 0
 	selWidths := make(map[int]bool, len(widths))
 	for k, wt := range weights {
 		for ci, w := range widths {
-			if !selected(w, wt) {
+			if opt.Select != nil && !opt.Select(w, wt) {
 				continue
 			}
 			keep = append(keep, k*len(widths)+ci)
@@ -174,37 +133,18 @@ func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Wei
 	if len(keep) == 0 {
 		return nil, fmt.Errorf("core: sweep selection admits no grid points")
 	}
-	var (
-		packer tam.Packer
-		err    error
-	)
-	if pp, ok := prov.(sweepPackers); ok {
-		packer, err = pp.sweepPacker(opt.Backend)
-	} else {
-		packer, err = PackerFor(opt.Backend)
-	}
+	packer, err := s.engine.packerFor(opt.Backend)
 	if err != nil {
 		return nil, err
 	}
-	var stairs *wrapper.StaircaseCache
-	if prov != nil {
-		stairs = prov.sweepStairs(maxW)
-	} else {
-		stairs = wrapper.NewStaircaseCache(maxW)
-	}
-	var (
-		digCache *DigitalJobsCache
-		digKey   string
-	)
-	if dp, ok := prov.(sweepDigitalJobs); ok {
-		digCache, digKey = dp.sweepDigital()
-	}
+	// Grow the staircase cache once, before any cell asks for it.
+	s.sweepStairs(maxW)
 	caches := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
-		if prov != nil && !opt.WarmStart {
-			caches[w] = prov.sweepCache(w, packer.Name())
-		} else {
+		if opt.WarmStart {
 			caches[w] = NewScheduleCache()
+		} else {
+			caches[w] = s.sweepCache(w, packer.Name())
 		}
 	}
 
@@ -213,14 +153,9 @@ func sweepWithCaches(ctx context.Context, d *Design, widths []int, weights []Wei
 	solve := func(i int, warm []*ScheduleCache, inner int) {
 		wt := weights[i/len(widths)]
 		w := widths[i%len(widths)]
-		pl := NewPlanner(d, w, wt)
-		pl.Cache = caches[w]
-		pl.Staircases = stairs
-		pl.Digital, pl.DigitalKey = digCache, digKey
+		pl := s.planner(w, wt, inner, packer, caches[w])
 		pl.Warm = warm
-		pl.Workers = inner
 		pl.Bounded = opt.Bounded
-		pl.Packer = packer
 		if opt.Configure != nil {
 			opt.Configure(pl)
 		}
@@ -326,12 +261,6 @@ func warmSources(completed []int, w int, caches map[int]*ScheduleCache) []*Sched
 // The widths share one staircase cache, so the digital wrappers are
 // designed once for the whole curve.
 func WidthCurve(d *Design, p partition.Partition, widths []int) ([]int64, error) {
-	return WidthCurveContext(context.Background(), d, p, widths)
-}
-
-// WidthCurveContext is WidthCurve under a context; the packing of each
-// width polls ctx and the call returns ctx.Err() once it fires.
-func WidthCurveContext(ctx context.Context, d *Design, p partition.Partition, widths []int) ([]int64, error) {
 	if len(widths) == 0 {
 		return nil, fmt.Errorf("core: width curve needs widths")
 	}
@@ -340,7 +269,7 @@ func WidthCurveContext(ctx context.Context, d *Design, p partition.Partition, wi
 	for i, w := range widths {
 		ev := NewEvaluator(d, w)
 		ev.Staircases = stairs
-		t, err := ev.TestTimeContext(ctx, p)
+		t, err := ev.TestTime(p)
 		if err != nil {
 			return nil, err
 		}

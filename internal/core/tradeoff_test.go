@@ -9,7 +9,7 @@ import (
 
 func TestSweep(t *testing.T) {
 	d := paperDesign()
-	pts, err := Sweep(d, []int{32, 48}, []Weights{EqualWeights}, false, nil)
+	pts, err := SweepWith(d, []int{32, 48}, []Weights{EqualWeights}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestSweep(t *testing.T) {
 		t.Errorf("best width %d not in sweep", best.Width)
 	}
 
-	if _, err := Sweep(d, nil, []Weights{EqualWeights}, false, nil); err == nil {
+	if _, err := SweepWith(d, nil, []Weights{EqualWeights}, SweepOptions{}); err == nil {
 		t.Error("empty widths accepted")
 	}
 	if _, err := BestOver(nil); err == nil {
@@ -40,10 +40,10 @@ func TestSweep(t *testing.T) {
 func TestSweepConfigureHook(t *testing.T) {
 	d := paperDesign()
 	called := 0
-	_, err := Sweep(d, []int{32}, []Weights{EqualWeights}, false, func(pl *Planner) {
+	_, err := SweepWith(d, []int{32}, []Weights{EqualWeights}, SweepOptions{Configure: func(pl *Planner) {
 		pl.CostModel = analog.PaperCostModel()
 		called++
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

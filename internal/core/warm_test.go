@@ -120,9 +120,9 @@ func TestSweepWarmStartDeterministicAndClose(t *testing.T) {
 	}
 }
 
-// Cold sweeps through SweepWith must remain bit-identical to the
-// legacy Sweep entry point (which the paper-table reproductions rely
-// on).
+// A cold sweep through SweepWith must remain bit-identical to sweeping
+// the grid by hand, one lone planner per point (which the paper-table
+// reproductions rely on).
 func TestSweepWithColdMatchesSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver sweeps are slow")
@@ -130,17 +130,17 @@ func TestSweepWithColdMatchesSweep(t *testing.T) {
 	d := warmTestDesign()
 	widths := []int{32, 48}
 	weights := []Weights{{Time: 0.5, Area: 0.5}}
-	a, err := Sweep(d, widths, weights, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, err := SweepWith(d, widths, weights, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i].Result.Best.Cost != b[i].Result.Best.Cost || a[i].Result.NEval != b[i].Result.NEval {
-			t.Fatalf("point %d: cold SweepWith diverges from Sweep", i)
+	for i, w := range widths {
+		a, err := NewPlanner(d, w, weights[0]).CostOptimizer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Best.Cost != b[i].Result.Best.Cost || a.NEval != b[i].Result.NEval {
+			t.Fatalf("point %d: cold SweepWith diverges from a lone planner", i)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -163,9 +162,15 @@ func RoundRobin(n, shard, of int) ([]int, error) {
 	if of < 1 || shard < 0 || shard >= of {
 		return nil, fmt.Errorf("experiments: shard %d/%d out of range (want 0 <= shard < of)", shard, of)
 	}
-	idx := make([]int, 0, (n+of-1)/of)
-	for i := shard; i < n; i += of {
-		idx = append(idx, i)
+	// Count first and step by index: neither n+of nor i+of may be
+	// formed, since of comes straight from requests and can be huge.
+	size := 0
+	if shard < n {
+		size = (n-1-shard)/of + 1
+	}
+	idx := make([]int, size)
+	for k := range idx {
+		idx[k] = shard + k*of
 	}
 	return idx, nil
 }
@@ -227,13 +232,6 @@ type ShardResult struct {
 // and the staircase cache's prefix property makes the wrappers of a
 // narrower sweep identical to those of a wider one.
 func RunShard(d *core.Design, g Grid, shard, of int) (*ShardResult, error) {
-	return RunShardContext(context.Background(), d, g, shard, of)
-}
-
-// RunShardContext is RunShard under a context: cancellation aborts the
-// shard's cell computations at their next cancellation point and the
-// call returns ctx.Err(); no partial ShardResult is emitted.
-func RunShardContext(ctx context.Context, d *core.Design, g Grid, shard, of int) (*ShardResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -265,20 +263,20 @@ func RunShardContext(ctx context.Context, d *core.Design, g Grid, shard, of int)
 	}
 
 	if len(t3Widths) > 0 {
-		res.Table3, err = Table3Context(ctx, d, t3Widths)
+		res.Table3, err = Table3(d, t3Widths)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if len(t4Cells) > 0 {
-		res.Table4, err = Table4SelectContext(ctx, d, g.Table4Widths, g.Table4Weights,
+		res.Table4, err = Table4Select(d, g.Table4Widths, g.Table4Weights,
 			func(w int, wt core.Weights) bool { return t4Cells[table4CellID(w, wt)] })
 		if err != nil {
 			return nil, err
 		}
 	}
 	if len(curveWidths) > 0 {
-		times, err := core.WidthCurveContext(ctx, d, d.AllShare(), curveWidths)
+		times, err := core.WidthCurve(d, d.AllShare(), curveWidths)
 		if err != nil {
 			return nil, err
 		}

@@ -63,6 +63,29 @@ func TestGridCellsAndShardPartition(t *testing.T) {
 	}
 }
 
+// RoundRobin takes `of` straight from requests, so its capacity
+// arithmetic must not overflow for a huge `of`.
+func TestRoundRobinHugeOf(t *testing.T) {
+	for _, tc := range []struct {
+		n, shard, of int
+		want         []int
+	}{
+		{2, 0, math.MaxInt, []int{0}},
+		{2, 1, math.MaxInt, []int{1}},
+		{2, 5, math.MaxInt, []int{}},
+		{7, 2, 3, []int{2, 5}},
+		{0, 0, 1, []int{}},
+	} {
+		got, err := RoundRobin(tc.n, tc.shard, tc.of)
+		if err != nil {
+			t.Fatalf("RoundRobin(%d, %d, %d): %v", tc.n, tc.shard, tc.of, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("RoundRobin(%d, %d, %d) = %v, want %v", tc.n, tc.shard, tc.of, got, tc.want)
+		}
+	}
+}
+
 func TestGridValidate(t *testing.T) {
 	if err := (Grid{}).Validate(); err == nil {
 		t.Error("empty grid accepted")

@@ -7,7 +7,6 @@ import (
 
 	"mixsoc/internal/analog"
 	"mixsoc/internal/core"
-	"mixsoc/internal/wrapper"
 )
 
 // Table4Cell compares exhaustive evaluation with Cost_Optimizer at one
@@ -36,27 +35,16 @@ type Table4Result struct {
 }
 
 // Table4 runs both solvers across the width sweep for each weight
-// setting. The grid cells fan out across the worker pool, and all cells
-// at one TAM width — across weight settings, and between the exhaustive
-// and heuristic solver of a cell — share one schedule cache, since test
-// schedules depend only on the width and the sharing configuration; the
-// whole grid shares one wrapper staircase cache across widths. Cells
-// are merged weights-major by index, so the table (costs, NEval,
-// selections) is identical to a sequential run.
+// setting (nil widths or weights select the paper's grid); see
+// Table4Select for how the grid is solved.
 func Table4(d *core.Design, widths []int, weights []core.Weights) (*Table4Result, error) {
-	return Table4Context(context.Background(), d, widths, weights)
-}
-
-// Table4Context is Table4 under a context; see Table4SelectContext for
-// the cancellation contract.
-func Table4Context(ctx context.Context, d *core.Design, widths []int, weights []core.Weights) (*Table4Result, error) {
 	if len(widths) == 0 {
 		widths = PaperWidths
 	}
 	if len(weights) == 0 {
 		weights = PaperWeightSettings
 	}
-	cells, err := Table4SelectContext(ctx, d, widths, weights, nil)
+	cells, err := Table4Select(d, widths, weights, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -65,73 +53,44 @@ func Table4Context(ctx context.Context, d *core.Design, widths []int, weights []
 
 // Table4Select computes only the Table 4 cells sel admits, in the same
 // weights-major order — and with the same per-cell numbers, bit for bit
-// — as the full grid; a nil sel admits every cell. Schedule and
-// staircase caches cover exactly the selected widths, so a sharded run
-// never packs a schedule (or designs a wrapper) its cells do not need.
+// — as the full grid; a nil sel admits every cell. It runs two sweeps
+// under the paper's cost model on one private core.Engine: an
+// exhaustive one, then a Cost_Optimizer one served entirely from the
+// schedules the first packed, since test schedules depend only on the
+// width and the sharing configuration. Only the selected widths are
+// ever packed, so a sharded run never packs a schedule its cells do
+// not need.
 func Table4Select(d *core.Design, widths []int, weights []core.Weights, sel func(width int, wt core.Weights) bool) ([]Table4Cell, error) {
-	return Table4SelectContext(context.Background(), d, widths, weights, sel)
-}
-
-// Table4SelectContext is Table4Select under a context: once ctx fires
-// no further grid cell is dispatched, the in-flight solvers abort at
-// their next cancellation point, and the call returns ctx.Err().
-func Table4SelectContext(ctx context.Context, d *core.Design, widths []int, weights []core.Weights, sel func(width int, wt core.Weights) bool) ([]Table4Cell, error) {
 	if d == nil {
 		d = Design()
 	}
-	if len(widths) == 0 || len(weights) == 0 {
-		return nil, fmt.Errorf("experiments: Table 4 needs at least one width and one weight setting")
-	}
-	// Dense weights-major indices of the selected cells; caches cover
-	// only their widths.
-	keep := make([]int, 0, len(weights)*len(widths))
 	maxW := 0
-	selWidths := make(map[int]bool, len(widths))
-	for k, wt := range weights {
-		for ci, w := range widths {
-			if sel != nil && !sel(w, wt) {
-				continue
-			}
-			keep = append(keep, k*len(widths)+ci)
-			selWidths[w] = true
-			maxW = max(maxW, w)
-		}
+	for _, w := range widths {
+		maxW = max(maxW, w)
 	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("experiments: Table 4 selection admits no cells")
+	eng := core.NewEngine(core.EngineOptions{MaxWidth: maxW, MaxWidthCaches: len(widths), DisableModuleCache: true})
+	opt := core.SweepOptions{
+		Exhaustive: true,
+		Select:     sel,
+		Configure:  func(pl *core.Planner) { pl.CostModel = analog.PaperCostModel() },
 	}
-
+	ctx := context.Background()
+	exh, err := eng.Sweep(ctx, d, widths, weights, opt)
+	if err != nil {
+		return nil, err
+	}
+	opt.Exhaustive = false
+	heur, err := eng.Sweep(ctx, d, widths, weights, opt)
+	if err != nil {
+		return nil, err
+	}
 	names := d.AnalogNames()
-	stairs := wrapper.NewStaircaseCache(maxW)
-	caches := make(map[int]*core.ScheduleCache, len(selWidths))
-	for w := range selWidths {
-		caches[w] = core.NewScheduleCache()
-	}
-	cells := make([]Table4Cell, len(keep))
-	errs := make([]error, len(keep))
-	outer, inner := core.SplitWorkers(core.DefaultWorkers(), len(keep))
-	if err := core.ForEachCtx(ctx, len(keep), outer, func(j int) {
-		i := keep[j]
-		wt := weights[i/len(widths)]
-		w := widths[i%len(widths)]
-		pl := core.NewPlanner(d, w, wt)
-		pl.CostModel = analog.PaperCostModel()
-		pl.Cache = caches[w]
-		pl.Staircases = stairs
-		pl.Workers = inner
-		ex, err := pl.ExhaustiveContext(ctx)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		h, err := pl.CostOptimizerContext(ctx)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		cells[j] = Table4Cell{
-			Width:            w,
-			Weights:          wt,
+	cells := make([]Table4Cell, len(exh))
+	for i, p := range exh {
+		ex, h := p.Result, heur[i].Result
+		cells[i] = Table4Cell{
+			Width:            p.Width,
+			Weights:          p.Weights,
 			ExhaustiveCost:   ex.Best.Cost,
 			ExhaustiveNEval:  ex.NEval,
 			ExhaustiveSel:    ex.Best.Label(names),
@@ -140,13 +99,6 @@ func Table4SelectContext(ctx context.Context, d *core.Design, widths []int, weig
 			HeuristicSel:     h.Best.Label(names),
 			ReductionPercent: h.ReductionPercent(),
 			Optimal:          h.Best.Cost <= ex.Best.Cost+1e-9,
-		}
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return cells, nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -305,6 +306,30 @@ func TestShardRequestValidation(t *testing.T) {
 		if status != http.StatusBadRequest {
 			t.Errorf("shard %+v: status %d, want 400 (%s)", req, status, body)
 		}
+	}
+}
+
+// A huge `of` is a valid shard geometry, not a handler panic: shard 0
+// of MaxInt owns the first cell, shard 5 owns none.
+func TestShardHugeOf(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+	_, ts := newTestServer(t)
+	status, body := post(t, ts, "/v1/shard", ShardRequest{Widths: []int{32, 40}, Shard: 0, Of: math.MaxInt})
+	if status != http.StatusOK {
+		t.Fatalf("shard 0 of MaxInt: status %d, want 200 (%s)", status, body)
+	}
+	var resp ShardResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Points) != 1 || resp.Points[0].Width != 32 {
+		t.Fatalf("shard 0 of MaxInt: want the W=32 point, got %s", body)
+	}
+	status, body = post(t, ts, "/v1/shard", ShardRequest{Widths: []int{32, 40}, Shard: 5, Of: math.MaxInt})
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "owns no cells") {
+		t.Fatalf("shard 5 of MaxInt: status %d, want 400 owns no cells (%s)", status, body)
 	}
 }
 

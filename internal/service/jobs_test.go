@@ -171,12 +171,12 @@ func TestJobSubmitValidationAndLookupErrors(t *testing.T) {
 	_, ts := newJobServer(t, t.TempDir())
 
 	bad := []SweepRequest{
-		{Widths: []int{32}, WarmStart: true},           // sequential, unshardable
-		{Widths: []int{32}, TimeoutMS: 1000},           // detached jobs have no request deadline
-		{Widths: []int{32, 32}},                        // duplicate width axis
-		{Widths: []int{32, 40}, WTs: []float64{1, 1}},  // duplicate weight axis
-		{Widths: nil},                                  // no widths
-		{Widths: []int{0}},                             // width out of range
+		{Widths: []int{32}, WarmStart: true},          // sequential, unshardable
+		{Widths: []int{32}, TimeoutMS: 1000},          // detached jobs have no request deadline
+		{Widths: []int{32, 32}},                       // duplicate width axis
+		{Widths: []int{32, 40}, WTs: []float64{1, 1}}, // duplicate weight axis
+		{Widths: nil},      // no widths
+		{Widths: []int{0}}, // width out of range
 	}
 	for _, req := range bad {
 		if status, body := post(t, ts, "/v1/sweeps", req); status != http.StatusBadRequest {

@@ -311,7 +311,7 @@ func settleGoroutines(t *testing.T, base int) {
 // shard posts.
 func TestCancelledDistributedSweepLeaksNoGoroutines(t *testing.T) {
 	hangA, seenA := newHangingWorker(t)
-	hangB, _ := newHangingWorker(t)
+	hangB, seenB := newHangingWorker(t)
 	coord := newCoordinatorServer(t, Options{
 		WorkerURLs:    []string{hangA.URL, hangB.URL},
 		ShardTimeout:  time.Minute,
@@ -338,7 +338,13 @@ func TestCancelledDistributedSweepLeaksNoGoroutines(t *testing.T) {
 		}
 		done <- err
 	}()
+	// Cancel only once both shards hang on their workers. A shard post
+	// whose connection is still being set up at the cancel would get
+	// that connection afterwards, and net/http keeps it as an idle
+	// keep-alive (90 s on the fleet transport) — the transport's pool,
+	// not a goroutine the pipeline leaked.
 	waitSeen(t, seenA)
+	waitSeen(t, seenB)
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("the cancelled sweep still got a response")
