@@ -35,8 +35,12 @@ type Table4Result struct {
 }
 
 // Table4 runs both solvers across the width sweep for each weight
-// setting (nil widths or weights select the paper's grid); see
-// Table4Select for how the grid is solved.
+// setting (nil widths or weights select the paper's grid), with cells
+// in weights-major order. It runs two sweeps under the paper's cost
+// model on one private core.Engine: an exhaustive one, then a
+// Cost_Optimizer one served entirely from the schedules the first
+// packed, since test schedules depend only on the width and the
+// sharing configuration.
 func Table4(d *core.Design, widths []int, weights []core.Weights) (*Table4Result, error) {
 	if len(widths) == 0 {
 		widths = PaperWidths
@@ -44,23 +48,6 @@ func Table4(d *core.Design, widths []int, weights []core.Weights) (*Table4Result
 	if len(weights) == 0 {
 		weights = PaperWeightSettings
 	}
-	cells, err := Table4Select(d, widths, weights, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Table4Result{Widths: widths, Weights: weights, Cells: cells}, nil
-}
-
-// Table4Select computes only the Table 4 cells sel admits, in the same
-// weights-major order — and with the same per-cell numbers, bit for bit
-// — as the full grid; a nil sel admits every cell. It runs two sweeps
-// under the paper's cost model on one private core.Engine: an
-// exhaustive one, then a Cost_Optimizer one served entirely from the
-// schedules the first packed, since test schedules depend only on the
-// width and the sharing configuration. Only the selected widths are
-// ever packed, so a sharded run never packs a schedule its cells do
-// not need.
-func Table4Select(d *core.Design, widths []int, weights []core.Weights, sel func(width int, wt core.Weights) bool) ([]Table4Cell, error) {
 	if d == nil {
 		d = Design()
 	}
@@ -71,7 +58,6 @@ func Table4Select(d *core.Design, widths []int, weights []core.Weights, sel func
 	eng := core.NewEngine(core.EngineOptions{MaxWidth: maxW, MaxWidthCaches: len(widths), DisableModuleCache: true})
 	opt := core.SweepOptions{
 		Exhaustive: true,
-		Select:     sel,
 		Configure:  func(pl *core.Planner) { pl.CostModel = analog.PaperCostModel() },
 	}
 	ctx := context.Background()
@@ -101,7 +87,7 @@ func Table4Select(d *core.Design, widths []int, weights []core.Weights, sel func
 			Optimal:          h.Best.Cost <= ex.Best.Cost+1e-9,
 		}
 	}
-	return cells, nil
+	return &Table4Result{Widths: widths, Weights: weights, Cells: cells}, nil
 }
 
 // RenderTable4 formats the result like the paper's Table 4.

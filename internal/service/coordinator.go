@@ -3,13 +3,13 @@ package service
 // The shard pipeline behind every sharded sweep. A sweep's (widths ×
 // weights) cells are mutually independent — the same argument that
 // makes the paper's Table 4 grid shardable across machines — so a
-// sweep splits round-robin (experiments.RoundRobin, the grid runner's
-// rule) into shards that solve independently and reassemble into the
-// dense weights-major order an in-process sweep returns. One pipeline,
-// runShards, solves the missing shards of a split in parallel for both
-// of its callers — the synchronous distributed POST /v1/sweep
-// (coordinator.sweep) and durable jobs (jobManager.run) — and one
-// merge, mergeShards, places shard s's j-th point at cell s + j·of.
+// sweep splits round-robin (roundRobin) into shards that solve
+// independently and reassemble into the dense weights-major order an
+// in-process sweep returns. One pipeline, runShards, solves the
+// missing shards of a split in parallel for both of its callers — the
+// synchronous distributed POST /v1/sweep (coordinator.sweep) and
+// durable jobs (jobManager.run) — and one merge, mergeShards, places
+// shard s's j-th point at cell s + j·of.
 // The pipeline has two branches:
 //
 //   - fleet: with assignable workers, each shard is posted as one
@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"mixsoc/internal/core"
-	"mixsoc/internal/experiments"
 )
 
 // maxWorkerErrorBytes bounds how much of a worker's error body the
@@ -266,7 +265,7 @@ func mergeShards(sp *sweepSpec, parts []*ShardResponse) *SweepResponse {
 // context died; per-worker problems come back as WorkerFailures with a
 // nil response.
 func (c *coordinator) runShard(ctx context.Context, sp *sweepSpec, shard, of int, home string) (*ShardResponse, []WorkerFailure, error) {
-	want, err := experiments.RoundRobin(sp.cells(), shard, of)
+	want, err := roundRobin(sp.cells(), shard, of)
 	if err != nil {
 		return nil, nil, err
 	}

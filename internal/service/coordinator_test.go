@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -330,6 +331,103 @@ func TestShardHugeOf(t *testing.T) {
 	status, body = post(t, ts, "/v1/shard", ShardRequest{Widths: []int{32, 40}, Shard: 5, Of: math.MaxInt})
 	if status != http.StatusBadRequest || !strings.Contains(string(body), "owns no cells") {
 		t.Fatalf("shard 5 of MaxInt: status %d, want 400 owns no cells (%s)", status, body)
+	}
+}
+
+// roundRobin takes `of` straight from requests, so its capacity
+// arithmetic must not overflow for a huge `of`.
+func TestRoundRobinHugeOf(t *testing.T) {
+	for _, tc := range []struct {
+		n, shard, of int
+		want         []int
+	}{
+		{2, 0, math.MaxInt, []int{0}},
+		{2, 1, math.MaxInt, []int{1}},
+		{2, 5, math.MaxInt, []int{}},
+		{7, 2, 3, []int{2, 5}},
+		{0, 0, 1, []int{}},
+	} {
+		got, err := roundRobin(tc.n, tc.shard, tc.of)
+		if err != nil {
+			t.Fatalf("roundRobin(%d, %d, %d): %v", tc.n, tc.shard, tc.of, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("roundRobin(%d, %d, %d) = %v, want %v", tc.n, tc.shard, tc.of, got, tc.want)
+		}
+	}
+}
+
+// The sharding contract on the paper's full Table 4 grid (p93791m, five
+// widths × three weight settings), heuristic and exhaustive: for every
+// split from one shard to one cell per shard, each Server.Shard partial
+// survives the checkpoint round trip through JSON, passes the merge
+// contract, and mergeShards reproduces the bytes of the unsharded
+// Server.Sweep. Each split solves on a fresh server, so its shards
+// pack their own schedules instead of reading the reference sweep's.
+func TestShardMergeFullGridBitIdenticalToSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-grid sweeps are slow")
+	}
+	ctx := context.Background()
+	for _, exhaustive := range []bool{false, true} {
+		req := SweepRequest{
+			Benchmark:  BenchmarkP93791M,
+			Widths:     []int{32, 40, 48, 56, 64},
+			WTs:        []float64{0.5, 0.25, 0.75},
+			Exhaustive: exhaustive,
+		}
+		sp, err := validateSweep(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := New(Options{})
+		full, err := ref.Sweep(ctx, req)
+		ref.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, of := range []int{1, 2, 4, 15} {
+			s := New(Options{})
+			parts := make([]*ShardResponse, of)
+			for shard := range parts {
+				resp, err := s.Shard(ctx, ShardRequest{
+					Benchmark: req.Benchmark, Widths: req.Widths, WTs: req.WTs,
+					Exhaustive: exhaustive, Shard: shard, Of: of,
+				})
+				if err != nil {
+					t.Fatalf("exhaustive=%t shard %d/%d: %v", exhaustive, shard, of, err)
+				}
+				data, err := json.Marshal(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var back ShardResponse
+				if err := json.Unmarshal(data, &back); err != nil {
+					t.Fatal(err)
+				}
+				idx, err := roundRobin(sp.cells(), shard, of)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := verifyShardPartial(sp, shard, of, idx, &back); err != nil {
+					t.Fatalf("exhaustive=%t shard %d/%d: %v", exhaustive, shard, of, err)
+				}
+				parts[shard] = &back
+			}
+			s.Close()
+			got, err := json.Marshal(mergeShards(sp, parts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("exhaustive=%t: %d-way merge (%d bytes) differs from the unsharded sweep (%d bytes)",
+					exhaustive, of, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -11,18 +11,24 @@ package service
 // runs detached from the submitting connection under the manager's own
 // context, so a client that disconnects (499) no longer cancels work.
 //
-// Durability is built on the experiments shard-file interchange: every
-// completed shard is checkpointed to <job-dir>/<id>/shard_N_of_M.json
-// with experiments.WriteJSONFile (atomic temp-file-plus-rename, so a
-// kill -9 mid-checkpoint never leaves a torn partial), and the final
-// merged response is persisted to result.json as the exact bytes a
-// synchronous POST /v1/sweep would have returned —
-// GET /v1/sweeps/{id}/result serves those bytes verbatim. A restarted
-// coordinator re-reads the job directory, re-verifies every persisted
-// partial against the same three-step merge contract live merges use
-// (design hash, shard geometry, every point's grid coordinate —
-// verifyShardPartial, shared with coordinator.post), deletes the ones
-// that fail it, and re-runs only the missing shards.
+// Durability is three indented-JSON files per job directory
+// <job-dir>/<id>, each written with writeJSONFile (atomic
+// temp-file-plus-rename, so a kill -9 mid-write never leaves a torn
+// file):
+//
+//   - job.json, the manifest: the normalized SweepRequest plus the job
+//     ID, design hash, shard count and creation time;
+//   - shard_N_of_M.json, one checkpoint per completed shard: the
+//     ShardResponse of that shard, the bytes POST /v1/shard serves;
+//   - result.json, the merged SweepResponse: the exact bytes a
+//     synchronous POST /v1/sweep would have returned, which
+//     GET /v1/sweeps/{id}/result serves verbatim.
+//
+// A restarted coordinator re-reads the job directory, re-verifies every
+// persisted partial against the same three-step merge contract live
+// merges use (design hash, shard geometry, every point's grid
+// coordinate — verifyShardPartial, shared with coordinator.post),
+// deletes the ones that fail it, and re-runs only the missing shards.
 //
 // The shard work is the shard pipeline a synchronous distributed sweep
 // runs (coordinator.runShards): the job skips its checkpointed shards
@@ -36,18 +42,18 @@ package service
 // merges through the same mergeShards as a synchronous sweep.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
-
-	"mixsoc/internal/experiments"
 )
 
 // The lifecycle states of a durable sweep job.
@@ -342,7 +348,7 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 			observe(jobSubmitRejected)
 			return nil, false, fmt.Errorf("service: creating job directory: %w", err)
 		}
-		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "job.json"), &j.manifest); err != nil {
+		if err := writeJSONFile(filepath.Join(j.dir, "job.json"), &j.manifest); err != nil {
 			observe(jobSubmitRejected)
 			return nil, false, fmt.Errorf("service: writing job manifest: %w", err)
 		}
@@ -445,7 +451,7 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 func (m *jobManager) completeShard(j *job, shard int, resp *ShardResponse, recovered bool) {
 	if j.dir != "" && !recovered {
 		path := filepath.Join(j.dir, shardFileName(shard, j.manifest.Of))
-		if err := experiments.WriteJSONFile(path, resp); err != nil {
+		if err := writeJSONFile(path, resp); err != nil {
 			// The shard still counts in memory; a restart would recompute it.
 			m.logf("job %s: checkpointing shard %d: %v", j.manifest.ID, shard, err)
 		} else {
@@ -487,7 +493,7 @@ func (m *jobManager) finishJob(j *job, sp *sweepSpec) error {
 	}
 	data = append(data, '\n')
 	if j.dir != "" {
-		if err := experiments.WriteJSONFile(filepath.Join(j.dir, "result.json"), resp); err != nil {
+		if err := writeJSONFile(filepath.Join(j.dir, "result.json"), resp); err != nil {
 			m.logf("job %s: persisting result: %v", j.manifest.ID, err)
 		}
 	}
@@ -627,7 +633,7 @@ func (m *jobManager) recover() {
 // individually invalid checkpoints are deleted and recomputed.
 func (m *jobManager) recoverJob(dir string) error {
 	var man jobManifest
-	if err := experiments.ReadJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
+	if err := readJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
 		return err
 	}
 	sp, err := validateJob(man.SweepRequest)
@@ -688,7 +694,7 @@ func (m *jobManager) recoverJob(dir string) error {
 	for shard := 0; shard < man.Of; shard++ {
 		path := filepath.Join(dir, shardFileName(shard, man.Of))
 		var resp ShardResponse
-		if err := experiments.ReadJSONFile(path, &resp); err != nil {
+		if err := readJSONFile(path, &resp); err != nil {
 			if !os.IsNotExist(err) {
 				m.logf("job recovery: %s shard %d: %v (recomputing)", man.ID, shard, err)
 				m.srv.metrics.observeJobShard(jobShardInvalid)
@@ -696,7 +702,7 @@ func (m *jobManager) recoverJob(dir string) error {
 			}
 			continue
 		}
-		want, err := experiments.RoundRobin(sp.cells(), shard, man.Of)
+		want, err := roundRobin(sp.cells(), shard, man.Of)
 		if err != nil {
 			return err
 		}
@@ -864,4 +870,50 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// writeJSONFile writes v as indented JSON with a trailing newline to
+// path, atomically: the bytes land in a temp file in the same
+// directory which is then renamed over path, so a crash mid-write can
+// never leave a torn, half-written file behind.
+func writeJSONFile(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	cerr := tmp.Close()
+	if err := errors.Join(werr, cerr, os.Chmod(tmp.Name(), 0o644)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
+
+// readJSONFile reads a JSON file written by writeJSONFile into v. It
+// fails loudly on empty (zero-byte or whitespace-only) files — the
+// tell-tale of a torn write on filesystems without atomic rename — and
+// on malformed JSON, always naming the offending path.
+func readJSONFile(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(bytes.TrimSpace(data)) == 0 {
+		return fmt.Errorf("%s: empty file", path)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }

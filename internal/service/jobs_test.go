@@ -350,6 +350,94 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	}
 }
 
+// An empty checkpoint — zero bytes, or only whitespace, the tell-tale
+// of a torn write on a filesystem without atomic rename — must be
+// counted invalid, deleted, and its shard recomputed to the same bytes
+// as the original checkpoint and the same result.
+func TestJobRecoveryRecomputesEmptyCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+	for _, tc := range []struct{ name, data string }{
+		{"zero-length", ""},
+		{"whitespace-only", " \n\t\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sA, tsA := newJobServer(t, dir)
+			jr := submitJob(t, tsA, jobTestGrid, http.StatusAccepted)
+			waitJobState(t, tsA, jr.ID, JobStateDone, 2*time.Minute)
+			_, want := getJSON(t, tsA, "/v1/sweeps/"+jr.ID+"/result")
+			tsA.Close()
+			sA.Close()
+
+			jobDir := filepath.Join(dir, jr.ID)
+			if err := os.Remove(filepath.Join(jobDir, "result.json")); err != nil {
+				t.Fatal(err)
+			}
+			empty := filepath.Join(jobDir, "shard_0_of_2.json")
+			orig, err := os.ReadFile(empty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(empty, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			_, tsB := newJobServer(t, dir)
+			waitJobState(t, tsB, jr.ID, JobStateDone, 2*time.Minute)
+			series := scrape(t, tsB)
+			if got := series[`msoc_job_shards_total{event="invalid"}`]; got != 1 {
+				t.Errorf("invalid checkpoints = %v, want 1 (the empty file)", got)
+			}
+			if got := series[`msoc_job_shards_total{event="recovered"}`]; got != 1 {
+				t.Errorf("recovered checkpoints = %v, want 1 (the intact shard)", got)
+			}
+			if got := series[`msoc_job_shards_total{event="checkpointed"}`]; got != 1 {
+				t.Errorf("re-checkpointed shards = %v, want 1 (the empty one)", got)
+			}
+			redone, err := os.ReadFile(empty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(redone, orig) {
+				t.Error("recomputed checkpoint differs from the original bytes")
+			}
+			if _, got := getJSON(t, tsB, "/v1/sweeps/"+jr.ID+"/result"); !bytes.Equal(got, want) {
+				t.Fatal("resumed result differs from the original bytes")
+			}
+		})
+	}
+}
+
+// writeJSONFile is temp-file-plus-rename, so the destination either
+// holds the complete previous content or the complete new content —
+// never a torn mix — and no temp litter survives a successful write.
+func TestWriteJSONFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.json")
+	if err := writeJSONFile(path, map[string]int{"v": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONFile(path, map[string]int{"v": 2}); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]int
+	if err := readJSONFile(path, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got["v"] != 2 {
+		t.Fatalf("read back %v, want v=2", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after two writes, want only the file itself", len(entries))
+	}
+}
+
 // A valid checkpoint must survive a restart untouched: only the missing
 // shard is recomputed, and the recovered partial is flagged as such in
 // the job's progress.

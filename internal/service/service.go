@@ -24,9 +24,8 @@
 // same request, which CI diffs against a live server.
 //
 // A server given WorkerURLs runs as a *coordinator*: POST /v1/sweep is
-// answered by partitioning the (widths × weights) cells round-robin —
-// the same experiments.RoundRobin rule the sharded grid runner uses —
-// fanning one POST /v1/shard per shard out to the workers under
+// answered by partitioning the (widths × weights) cells round-robin
+// (roundRobin, the one partition rule of every shard), fanning one POST /v1/shard per shard out to the workers under
 // per-shard deadlines with retry-by-reassignment, and merging the JSON
 // partials into a response byte-identical to an in-process sweep. The
 // equality holds because every cell is independent, the workers solve
@@ -52,7 +51,6 @@ import (
 	"time"
 
 	"mixsoc/internal/core"
-	"mixsoc/internal/experiments"
 )
 
 // Options configures New. The zero value serves the paper benchmark
@@ -483,7 +481,7 @@ func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, e
 // (timeoutMS as in PlanRequest.TimeoutMS). It serves both POST
 // /v1/shard and the local branch of the shard pipeline.
 func (s *Server) solveLocal(ctx context.Context, sp *sweepSpec, shard, of int, timeoutMS int64) (*ShardResponse, error) {
-	idx, err := experiments.RoundRobin(sp.cells(), shard, of)
+	idx, err := roundRobin(sp.cells(), shard, of)
 	if err != nil {
 		return nil, badRequestf("%v", err)
 	}
@@ -520,6 +518,30 @@ func (s *Server) solveLocal(ctx context.Context, sp *sweepSpec, shard, of int, t
 		return nil, err
 	}
 	return &ShardResponse{DesignHash: sp.hash, Shard: shard, Of: of, Points: points}, nil
+}
+
+// roundRobin returns the cell indices of shard `shard` in an `of`-way
+// round-robin split of n cells: shard, shard+of, shard+2·of, …. It is
+// the one partition rule of every shard — POST /v1/shard, the
+// coordinator's fan-out and a durable job's checkpoints — so a shard
+// index names the same slice of work regardless of transport. The
+// error text is the 400 body of a bad /v1/shard geometry, so its
+// wording is part of the served bytes.
+func roundRobin(n, shard, of int) ([]int, error) {
+	if of < 1 || shard < 0 || shard >= of {
+		return nil, fmt.Errorf("experiments: shard %d/%d out of range (want 0 <= shard < of)", shard, of)
+	}
+	// Count first and step by index: neither n+of nor i+of may be
+	// formed, since of comes straight from requests and can be huge.
+	size := 0
+	if shard < n {
+		size = (n-1-shard)/of + 1
+	}
+	idx := make([]int, size)
+	for k := range idx {
+		idx[k] = shard + k*of
+	}
+	return idx, nil
 }
 
 // Designs computes the response of GET /v1/designs.

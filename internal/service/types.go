@@ -132,8 +132,7 @@ type SweepResponse struct {
 // ShardRequest is the body of POST /v1/shard — the worker half of a
 // distributed sweep. It names the coordinator's full (widths × wts)
 // grid plus this worker's round-robin slice of it, so every worker
-// derives the same cell numbering without coordination (the
-// experiments.RoundRobin rule shared with the grid runner).
+// derives the same cell numbering without coordination (roundRobin).
 type ShardRequest struct {
 	// Design is an inline design; see PlanRequest.Design. The
 	// coordinator forwards its request's design bytes verbatim, so the
