@@ -48,9 +48,11 @@
 // checkpoints and re-run only the missing shards, converging to the
 // same bytes an undisturbed sweep would have produced. Identical
 // re-submissions return the existing job's ID (the ID is derived from
-// the request content, so dedupe also survives restarts). -job-retention
-// bounds how long terminal jobs are kept before garbage collection;
-// 0 keeps them forever.
+// the request content, so dedupe also survives restarts). Memory holds
+// at most 16 done jobs; past that the oldest-finished are evicted, and
+// with -job-dir a lookup or resubmission reloads them from disk.
+// -job-retention bounds how long terminal jobs are kept before garbage
+// collection, with or without -job-dir; 0 keeps them forever.
 //
 // SIGTERM/SIGINT triggers a graceful shutdown: the listener closes,
 // in-flight plans and sweeps get up to -drain to finish, and the
@@ -111,7 +113,7 @@ func run(args []string, sigs <-chan os.Signal, ready chan<- string) error {
 	probeFailures := fs.Int("probe-failures", 3, "consecutive probe/shard failures before a worker is evicted (the first failure marks it suspect)")
 	readmitBackoff := fs.Duration("readmit-backoff", 15*time.Second, "initial wait before an evicted worker is re-probed for re-admission, doubling per failed re-probe")
 	jobDir := fs.String("job-dir", "", "directory for durable async sweep jobs (POST /v1/sweeps); empty keeps jobs in memory only")
-	jobRetention := fs.Duration("job-retention", 0, "how long finished/failed jobs are kept before garbage collection; 0 = forever")
+	jobRetention := fs.Duration("job-retention", 0, "how long finished/failed jobs (and, with -job-dir, their directories) are kept before garbage collection; works with or without -job-dir; 0 = forever")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -29,6 +29,15 @@ package service
 // merges use (design hash, shard geometry, every point's grid
 // coordinate — verifyShardPartial, shared with coordinator.post),
 // deletes the ones that fail it, and re-runs only the missing shards.
+// A finished job comes back from result.json alone, its shard partials
+// re-derived from the merged points and verified the same way.
+//
+// Memory is a bounded cache of finished work: at most maxDoneJobs done
+// jobs stay in memory, the oldest-finished evicted first. An evicted
+// job is gone for a memory-only server (its ID answers 404, and a
+// resubmission recomputes it); with a job directory, a lookup or
+// resubmission reloads it from disk through the finished-job half of
+// recovery.
 //
 // The shard work is the shard pipeline a synchronous distributed sweep
 // runs (coordinator.runShards): the job skips its checkpointed shards
@@ -49,11 +58,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
+
+	"mixsoc/internal/core"
 )
 
 // The lifecycle states of a durable sweep job.
@@ -75,8 +89,19 @@ const (
 const maxLocalJobShards = 4
 
 // jobGCInterval is how often the retention sweep looks for expired
-// terminal jobs (when Options.JobRetention is set).
-const jobGCInterval = time.Minute
+// terminal jobs (when Options.JobRetention is set). A variable only so
+// tests can watch the sweeper work.
+var jobGCInterval = time.Minute
+
+// maxDoneJobs caps how many done jobs the manager keeps in memory. Each
+// holds its shard partials and its result bytes (100-200 KB for a
+// Table 4 grid), so without a cap a long-running server grows with
+// every unique submission. Past the cap the jobs that finished first
+// are evicted: memory-only, their IDs then answer 404 and an identical
+// resubmission recomputes the same bytes; with a job directory, a
+// lookup or resubmission reloads them from disk. Running and failed
+// jobs are never evicted.
+const maxDoneJobs = 16
 
 // JobResponse is the body of POST /v1/sweeps and GET /v1/sweeps/{id}:
 // one durable sweep job's identity, grid, and per-shard progress.
@@ -236,10 +261,10 @@ func newJobManager(s *Server, dir string, retention time.Duration, logf func(str
 	}
 	if dir != "" {
 		m.recover()
-		if retention > 0 {
-			m.wg.Add(1)
-			go m.gcLoop()
-		}
+	}
+	if retention > 0 {
+		m.wg.Add(1)
+		go m.gcLoop()
 	}
 	return m
 }
@@ -305,7 +330,7 @@ func (m *jobManager) submit(req SweepRequest) (j *job, created bool, err error) 
 	id := jobID(sp)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if existing, ok := m.jobs[id]; ok {
+	if existing, ok := m.lookupLocked(id); ok {
 		existing.mu.Lock()
 		resume := existing.state == JobStateFailed && !existing.running
 		if resume {
@@ -374,8 +399,80 @@ func (m *jobManager) chooseOf(cells int) int {
 func (m *jobManager) get(id string) (*job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
+	return m.lookupLocked(id)
+}
+
+// lookupLocked finds a job in memory or, with a job directory, reloads
+// a finished job that was evicted from memory: the manifest and
+// result.json are verified as boot-time recovery verifies them, and the
+// job comes back done and flagged recovered. The ID is checked for the
+// shape jobID produces before it touches the filesystem, so a request
+// path can never name a directory outside the job directory. Called
+// with m.mu held.
+func (m *jobManager) lookupLocked(id string) (*job, bool) {
+	if j, ok := m.jobs[id]; ok {
+		return j, true
+	}
+	if m.dir == "" || !isJobID(id) {
+		return nil, false
+	}
+	dir := filepath.Join(m.dir, id)
+	man, sp, err := loadManifest(dir)
+	if err != nil || man.ID != id {
+		return nil, false
+	}
+	j, err := loadFinished(man, sp, dir)
+	if err != nil {
+		return nil, false
+	}
+	m.jobs[id] = j
+	m.evictDoneLocked()
+	return j, true
+}
+
+// isJobID reports whether id has the shape jobID produces: 16 lowercase
+// hex characters.
+func isJobID(id string) bool {
+	if len(id) != 16 {
+		return false
+	}
+	for _, c := range []byte(id) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// evictDoneLocked drops the done jobs that finished first until at most
+// maxDoneJobs remain in memory (ties by ID, so eviction is
+// deterministic). Their directories stay on disk. Called with m.mu held
+// and no job's mu, the lock order gcOnce and submit use.
+func (m *jobManager) evictDoneLocked() {
+	type finished struct {
+		id string
+		at time.Time
+	}
+	var done []finished
+	for id, j := range m.jobs {
+		j.mu.Lock()
+		if j.state == JobStateDone {
+			done = append(done, finished{id, j.finishedAt})
+		}
+		j.mu.Unlock()
+	}
+	if len(done) <= maxDoneJobs {
+		return
+	}
+	slices.SortFunc(done, func(a, b finished) int {
+		if c := a.at.Compare(b.at); c != 0 {
+			return c
+		}
+		return strings.Compare(a.id, b.id)
+	})
+	for _, d := range done[:len(done)-maxDoneJobs] {
+		delete(m.jobs, d.id)
+	}
 }
 
 // stateCounts snapshots how many jobs are in each lifecycle state, for
@@ -442,6 +539,11 @@ func (m *jobManager) run(j *job, sp *sweepSpec) {
 	state := j.state
 	j.mu.Unlock()
 	m.srv.metrics.observeJobFinished(state, time.Since(start))
+	if state == JobStateDone {
+		m.mu.Lock()
+		m.evictDoneLocked()
+		m.mu.Unlock()
+	}
 }
 
 // completeShard records one verified partial: checkpoint it to the job
@@ -626,71 +728,40 @@ func (m *jobManager) recover() {
 			m.logf("job recovery: %s: %v", e.Name(), err)
 		}
 	}
+	m.mu.Lock()
+	m.evictDoneLocked()
+	m.mu.Unlock()
 }
 
 // recoverJob restores one job directory. An unreadable or inconsistent
 // manifest abandons the directory (returned as an error, logged);
 // individually invalid checkpoints are deleted and recomputed.
 func (m *jobManager) recoverJob(dir string) error {
-	var man jobManifest
-	if err := readJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
+	man, sp, err := loadManifest(dir)
+	if err != nil {
 		return err
 	}
-	sp, err := validateJob(man.SweepRequest)
-	if err != nil {
-		return fmt.Errorf("manifest does not validate: %w", err)
-	}
-	if man.ID != jobID(sp) {
-		return fmt.Errorf("manifest ID %s does not match its content key", man.ID)
-	}
-	if man.DesignHash != sp.hash {
-		return fmt.Errorf("manifest design hash %s does not match the design (%s)", man.DesignHash, sp.hash)
-	}
-	if man.Of < 1 || man.Of > sp.cells() {
-		return fmt.Errorf("manifest shard count %d out of range for a %d-cell grid", man.Of, sp.cells())
-	}
 
-	j := &job{
-		manifest:  man,
-		dir:       dir,
-		state:     JobStateRunning,
-		shards:    make([]jobShardState, man.Of),
-		recovered: true,
-		createdAt: time.Now(),
-		subs:      map[chan []byte]bool{},
+	// A persisted result means the job finished before the restart:
+	// serve it verbatim. A result that fails verification is deleted and
+	// the job recomputed from its checkpoints.
+	j, err := loadFinished(man, sp, dir)
+	if err == nil {
+		m.mu.Lock()
+		m.jobs[man.ID] = j
+		m.mu.Unlock()
+		m.srv.metrics.observeJobRecovery()
+		m.logf("job recovery: %s: finished result recovered (%d shards)", man.ID, man.Of)
+		return nil
 	}
-	if t, err := time.Parse(time.RFC3339, man.CreatedAt); err == nil {
-		j.createdAt = t
-	}
-
-	// A persisted result means the job finished before the restart;
-	// re-verify it lightly (hash + density) and serve it verbatim.
-	resultPath := filepath.Join(dir, "result.json")
-	if data, err := os.ReadFile(resultPath); err == nil {
-		var res SweepResponse
-		if jerr := json.Unmarshal(data, &res); jerr == nil && res.DesignHash == sp.hash && len(res.Points) == sp.cells() {
-			j.result = data
-			j.state = JobStateDone
-			j.done = man.Of
-			for i := range j.shards {
-				j.shards[i] = jobShardState{resp: &ShardResponse{}, recovered: true}
-			}
-			if fi, serr := os.Stat(resultPath); serr == nil {
-				j.finishedAt = fi.ModTime()
-			}
-			m.mu.Lock()
-			m.jobs[man.ID] = j
-			m.mu.Unlock()
-			m.srv.metrics.observeJobRecovery()
-			m.logf("job recovery: %s: finished result recovered (%d shards)", man.ID, man.Of)
-			return nil
-		}
-		m.logf("job recovery: %s: result.json fails verification, recomputing", man.ID)
-		_ = os.Remove(resultPath)
+	if pathErr := (*fs.PathError)(nil); !errors.As(err, &pathErr) {
+		m.logf("job recovery: %s: result.json fails verification, recomputing: %v", man.ID, err)
+		_ = os.Remove(filepath.Join(dir, "result.json"))
 	}
 
 	// Re-verify every checkpoint against the same contract a live merge
 	// applies; a file that fails it is deleted and its shard re-run.
+	j = newRecoveredJob(man, dir)
 	for shard := 0; shard < man.Of; shard++ {
 		path := filepath.Join(dir, shardFileName(shard, man.Of))
 		var resp ShardResponse
@@ -727,6 +798,93 @@ func (m *jobManager) recoverJob(dir string) error {
 	return nil
 }
 
+// loadManifest reads one job directory's manifest and re-validates it
+// exactly as a submission is validated: its ID must re-derive from its
+// content and its shard count must fit the grid.
+func loadManifest(dir string) (jobManifest, *sweepSpec, error) {
+	var man jobManifest
+	if err := readJSONFile(filepath.Join(dir, "job.json"), &man); err != nil {
+		return man, nil, err
+	}
+	sp, err := validateJob(man.SweepRequest)
+	if err != nil {
+		return man, nil, fmt.Errorf("manifest does not validate: %w", err)
+	}
+	if man.ID != jobID(sp) {
+		return man, nil, fmt.Errorf("manifest ID %s does not match its content key", man.ID)
+	}
+	if man.DesignHash != sp.hash {
+		return man, nil, fmt.Errorf("manifest design hash %s does not match the design (%s)", man.DesignHash, sp.hash)
+	}
+	if man.Of < 1 || man.Of > sp.cells() {
+		return man, nil, fmt.Errorf("manifest shard count %d out of range for a %d-cell grid", man.Of, sp.cells())
+	}
+	return man, sp, nil
+}
+
+// newRecoveredJob is the in-memory job of a manifest read back from
+// dir: running, flagged recovered, with no shard solved yet.
+func newRecoveredJob(man jobManifest, dir string) *job {
+	j := &job{
+		manifest:  man,
+		dir:       dir,
+		state:     JobStateRunning,
+		shards:    make([]jobShardState, man.Of),
+		recovered: true,
+		createdAt: time.Now(),
+		subs:      map[chan []byte]bool{},
+	}
+	if t, err := time.Parse(time.RFC3339, man.CreatedAt); err == nil {
+		j.createdAt = t
+	}
+	return j
+}
+
+// loadFinished restores a finished job from its result.json: the bytes
+// serve verbatim, and every shard partial is re-derived from the merged
+// points by the same round-robin split a live job uses and verified
+// against the merge contract (verifyShardPartial), so status and the
+// event replay carry the shards exactly as merged. The finish time is
+// the file's modification time. An error reading the file is returned
+// as the *fs.PathError os.ReadFile gives; any other error means the file
+// fails verification.
+func loadFinished(man jobManifest, sp *sweepSpec, dir string) (*job, error) {
+	path := filepath.Join(dir, "result.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var res SweepResponse
+	if err := json.Unmarshal(data, &res); err != nil {
+		return nil, err
+	}
+	if res.DesignHash != sp.hash || len(res.Points) != sp.cells() {
+		return nil, fmt.Errorf("result has design %s and %d points, want %s and %d", res.DesignHash, len(res.Points), sp.hash, sp.cells())
+	}
+	j := newRecoveredJob(man, dir)
+	for shard := range j.shards {
+		want, err := roundRobin(sp.cells(), shard, man.Of)
+		if err != nil {
+			return nil, err
+		}
+		part := &ShardResponse{DesignHash: sp.hash, Shard: shard, Of: man.Of, Points: make([]core.SweepPoint, len(want))}
+		for k, i := range want {
+			part.Points[k] = res.Points[i]
+		}
+		if err := verifyShardPartial(sp, shard, man.Of, want, part); err != nil {
+			return nil, err
+		}
+		j.shards[shard] = jobShardState{resp: part, recovered: true}
+	}
+	j.result = data
+	j.state = JobStateDone
+	j.done = man.Of
+	if fi, err := os.Stat(path); err == nil {
+		j.finishedAt = fi.ModTime()
+	}
+	return j, nil
+}
+
 // gcLoop periodically drops terminal jobs older than the retention
 // window: their directories are removed and the IDs forgotten (an
 // identical re-submission then simply computes a fresh job).
@@ -745,26 +903,51 @@ func (m *jobManager) gcLoop() {
 }
 
 // gcOnce removes every terminal job whose finish time is past the
-// retention window.
+// retention window, with its directory. With a job directory it also
+// removes the expired jobs eviction left only on disk, aged by their
+// result.json modification time, the finish time a reload restores.
+// Directories are removed under m.mu, so no lookup can reload, and no
+// submission recreate, a job directory while it is being removed.
 func (m *jobManager) gcOnce() {
 	cutoff := time.Now().Add(-m.retention)
 	m.mu.Lock()
-	var expired []*job
+	defer m.mu.Unlock()
 	for id, j := range m.jobs {
 		j.mu.Lock()
-		if j.state != JobStateRunning && !j.finishedAt.IsZero() && j.finishedAt.Before(cutoff) {
-			expired = append(expired, j)
-			delete(m.jobs, id)
-		}
+		expired := j.state != JobStateRunning && !j.finishedAt.IsZero() && j.finishedAt.Before(cutoff)
 		j.mu.Unlock()
-	}
-	m.mu.Unlock()
-	for _, j := range expired {
-		if j.dir != "" {
-			if err := os.RemoveAll(j.dir); err != nil {
-				m.logf("job gc: removing %s: %v", j.dir, err)
-			}
+		if expired {
+			delete(m.jobs, id)
+			m.removeJobDir(j.dir)
 		}
+	}
+	if m.dir == "" {
+		return
+	}
+	entries, err := os.ReadDir(m.dir)
+	if err != nil {
+		m.logf("job gc: reading %s: %v", m.dir, err)
+		return
+	}
+	for _, e := range entries {
+		if _, live := m.jobs[e.Name()]; live || !e.IsDir() || !isJobID(e.Name()) {
+			continue
+		}
+		dir := filepath.Join(m.dir, e.Name())
+		if fi, err := os.Stat(filepath.Join(dir, "result.json")); err == nil && fi.ModTime().Before(cutoff) {
+			m.removeJobDir(dir)
+		}
+	}
+}
+
+// removeJobDir deletes one job's directory; "" (a memory-only job) is a
+// no-op.
+func (m *jobManager) removeJobDir(dir string) {
+	if dir == "" {
+		return
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		m.logf("job gc: removing %s: %v", dir, err)
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -286,13 +288,15 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	sA, tsA := newJobServer(t, dir)
 	jr := submitJob(t, tsA, jobTestGrid, http.StatusAccepted)
-	waitJobState(t, tsA, jr.ID, JobStateDone, 2*time.Minute)
+	done := waitJobState(t, tsA, jr.ID, JobStateDone, 2*time.Minute)
 	_, want := getJSON(t, tsA, "/v1/sweeps/"+jr.ID+"/result")
+	wantEvents := jobEvents(t, tsA, jr.ID)
 	tsA.Close()
 	sA.Close()
 
 	// Restart 1: intact directory. The job must come back done with the
-	// identical bytes, straight from result.json.
+	// identical bytes, straight from result.json, and with every shard's
+	// partial exactly as merged: only the recovered flags may differ.
 	sB, tsB := newJobServer(t, dir)
 	status, body := getJSON(t, tsB, "/v1/sweeps/"+jr.ID)
 	if status != http.StatusOK {
@@ -305,14 +309,36 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	if recovered.State != JobStateDone || !recovered.Recovered {
 		t.Fatalf("recovered job = state %q recovered %t, want done/true", recovered.State, recovered.Recovered)
 	}
+	checkRecoveredShards(t, done, &recovered)
 	if _, got := getJSON(t, tsB, "/v1/sweeps/"+jr.ID+"/result"); !bytes.Equal(got, want) {
 		t.Fatal("recovered result differs from the original bytes")
 	}
+	checkRecoveredEvents(t, wantEvents, jobEvents(t, tsB, jr.ID))
 	if got := scrape(t, tsB)[`msoc_job_recoveries_total`]; got != 1 {
 		t.Errorf("recoveries = %v, want 1", got)
 	}
 	tsB.Close()
 	sB.Close()
+
+	// Restart 1b: a result.json with the right design and cell count but
+	// two cells swapped fails the per-shard grid check. Recovery must
+	// delete it and re-merge the checkpoints into the original bytes.
+	resultPath := filepath.Join(dir, jr.ID, "result.json")
+	var tampered SweepResponse
+	if err := readJSONFile(resultPath, &tampered); err != nil {
+		t.Fatal(err)
+	}
+	tampered.Points[0], tampered.Points[1] = tampered.Points[1], tampered.Points[0]
+	if err := writeJSONFile(resultPath, &tampered); err != nil {
+		t.Fatal(err)
+	}
+	sT, tsT := newJobServer(t, dir)
+	waitJobState(t, tsT, jr.ID, JobStateDone, 2*time.Minute)
+	if _, got := getJSON(t, tsT, "/v1/sweeps/"+jr.ID+"/result"); !bytes.Equal(got, want) {
+		t.Fatal("a result.json with swapped cells was served instead of re-merged")
+	}
+	tsT.Close()
+	sT.Close()
 
 	// Restart 2: lose the result, delete one checkpoint, corrupt the
 	// other. Recovery must re-verify, drop the corrupt file, re-run both
@@ -347,6 +373,69 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	}
 	if got := series[`msoc_job_shards_total{event="checkpointed"}`]; got != 2 {
 		t.Errorf("re-checkpointed shards = %v, want 2", got)
+	}
+}
+
+// jobEvents reads a finished job's whole /events stream, one line per
+// event.
+func jobEvents(t *testing.T, ts *httptest.Server, id string) [][]byte {
+	t.Helper()
+	status, body := getJSON(t, ts, "/v1/sweeps/"+id+"/events")
+	if status != http.StatusOK {
+		t.Fatalf("events: status %d: %s", status, body)
+	}
+	return bytes.SplitAfter(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+}
+
+// checkRecoveredShards asserts a recovered job reports every shard as
+// the original did, apart from the recovered flags.
+func checkRecoveredShards(t *testing.T, orig, recovered *JobResponse) {
+	t.Helper()
+	if recovered.ShardsDone != orig.ShardsDone || len(recovered.Shards) != len(orig.Shards) {
+		t.Fatalf("recovered job has %d/%d shards done, want %d/%d",
+			recovered.ShardsDone, len(recovered.Shards), orig.ShardsDone, len(orig.Shards))
+	}
+	for i, sh := range recovered.Shards {
+		if !sh.Recovered {
+			t.Errorf("recovered shard %d not flagged recovered", i)
+		}
+		sh.Recovered = orig.Shards[i].Recovered
+		if sh != orig.Shards[i] {
+			t.Errorf("recovered shard %d = %+v, want %+v", i, sh, orig.Shards[i])
+		}
+	}
+}
+
+// checkRecoveredEvents asserts a recovered job's event stream replays
+// the original's lines with byte-identical shard payloads, apart from
+// the recovered flags.
+func checkRecoveredEvents(t *testing.T, orig, recovered [][]byte) {
+	t.Helper()
+	type line struct {
+		Type      string          `json:"type"`
+		Shard     json.RawMessage `json:"shard"`
+		Recovered bool            `json:"recovered"`
+		State     string          `json:"state"`
+		Error     string          `json:"error"`
+	}
+	parse := func(b []byte) line {
+		var l line
+		if err := json.Unmarshal(b, &l); err != nil {
+			t.Fatalf("event line not JSON: %v: %s", err, b)
+		}
+		return l
+	}
+	if len(recovered) != len(orig) {
+		t.Fatalf("recovered job replays %d events, want %d", len(recovered), len(orig))
+	}
+	for i := range orig {
+		o, r := parse(orig[i]), parse(recovered[i])
+		if r.Type == "shard" && !r.Recovered {
+			t.Errorf("recovered event %d not flagged recovered", i)
+		}
+		if r.Type != o.Type || !bytes.Equal(r.Shard, o.Shard) || r.State != o.State || r.Error != o.Error {
+			t.Errorf("recovered event %d differs:\n got %s\nwant %s", i, recovered[i], orig[i])
+		}
 	}
 }
 
@@ -537,27 +626,311 @@ func TestJobFailureAndResubmissionResume(t *testing.T) {
 }
 
 // Terminal jobs past the retention window must be garbage-collected:
-// state forgotten, directory removed.
+// state forgotten, directory removed — including the directory of a
+// done job eviction left only on disk. A memory-only server honours the
+// retention too: its sweeper runs without a job directory.
 func TestJobRetentionGC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solver sweeps are slow")
 	}
-	dir := t.TempDir()
-	s := New(Options{JobDir: dir, JobRetention: 10 * time.Millisecond})
+	t.Run("job-dir", func(t *testing.T) {
+		dir := t.TempDir()
+		s := New(Options{JobDir: dir, JobRetention: 10 * time.Millisecond})
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+
+		jr := submitJob(t, ts, jobTestGrid, http.StatusAccepted)
+		waitJobState(t, ts, jr.ID, JobStateDone, 2*time.Minute)
+		time.Sleep(20 * time.Millisecond)
+		s.jobs.gcOnce() // the ticker fires every minute; drive one pass directly
+
+		if status, _ := getJSON(t, ts, "/v1/sweeps/"+jr.ID); status != http.StatusNotFound {
+			t.Errorf("expired job still answers status %d, want 404", status)
+		}
+		if _, err := os.Stat(filepath.Join(dir, jr.ID)); !os.IsNotExist(err) {
+			t.Errorf("expired job directory still present (err=%v)", err)
+		}
+
+		// An evicted job lives on only in its directory; the sweeper
+		// must expire that too.
+		ev := submitJob(t, ts, SweepRequest{Widths: []int{32}, WTs: []float64{0.25}}, http.StatusAccepted)
+		waitJobState(t, ts, ev.ID, JobStateDone, 2*time.Minute)
+		s.jobs.mu.Lock()
+		delete(s.jobs.jobs, ev.ID)
+		s.jobs.mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
+		s.jobs.gcOnce()
+		if _, err := os.Stat(filepath.Join(dir, ev.ID)); !os.IsNotExist(err) {
+			t.Errorf("expired evicted job directory still present (err=%v)", err)
+		}
+		if status, _ := getJSON(t, ts, "/v1/sweeps/"+ev.ID); status != http.StatusNotFound {
+			t.Errorf("expired evicted job answers status %d, want 404", status)
+		}
+	})
+	t.Run("memory-only", func(t *testing.T) {
+		defer func(d time.Duration) { jobGCInterval = d }(jobGCInterval)
+		jobGCInterval = 5 * time.Millisecond
+		s := New(Options{JobRetention: 10 * time.Millisecond})
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+
+		jr := submitJob(t, ts, jobTestGrid, http.StatusAccepted)
+		waitJobState(t, ts, jr.ID, JobStateDone, 2*time.Minute)
+		deadline := time.After(time.Minute)
+		for {
+			status, _ := getJSON(t, ts, "/v1/sweeps/"+jr.ID)
+			if status == http.StatusNotFound {
+				break
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("memory-only job never expired (status %d)", status)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	})
+}
+
+// uniqueJobGrids returns n one-cell sweeps with distinct job IDs that
+// share one width, so after the first every cell replays cached
+// schedules.
+func uniqueJobGrids(n int) []SweepRequest {
+	grids := make([]SweepRequest, n)
+	for i := range grids {
+		grids[i] = SweepRequest{Widths: []int{32}, WTs: []float64{float64(i+1) / float64(n+2)}}
+	}
+	return grids
+}
+
+// runJobs submits each sweep as a new job, waits for all of them to
+// finish, and returns their IDs and result bytes in submission order.
+// Each job finishes before the next is submitted, so the eviction order
+// is the submission order.
+func runJobs(t *testing.T, ts *httptest.Server, grids []SweepRequest) (ids []string, results [][]byte) {
+	t.Helper()
+	for _, g := range grids {
+		jr := submitJob(t, ts, g, http.StatusAccepted)
+		waitJobState(t, ts, jr.ID, JobStateDone, 2*time.Minute)
+		_, res := getJSON(t, ts, "/v1/sweeps/"+jr.ID+"/result")
+		ids = append(ids, jr.ID)
+		results = append(results, res)
+	}
+	return ids, results
+}
+
+// doneInMemory counts the done jobs the manager holds in memory.
+func doneInMemory(s *Server) int { return s.jobs.stateCounts()[JobStateDone] }
+
+// A memory-only server keeps at most maxDoneJobs done jobs: the jobs
+// that finished first are evicted, answer 404, and an identical
+// resubmission recomputes the same result bytes.
+func TestJobStoreBoundedMemoryOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+	s := New(Options{})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
+	const extra = 3
+	grids := uniqueJobGrids(maxDoneJobs + extra)
+	ids, results := runJobs(t, ts, grids)
+	if got := doneInMemory(s); got != maxDoneJobs {
+		t.Fatalf("%d done jobs in memory after %d submissions, want the cap %d", got, len(grids), maxDoneJobs)
+	}
+	for i, id := range ids {
+		status, _ := getJSON(t, ts, "/v1/sweeps/"+id)
+		if evicted := i < extra; evicted != (status == http.StatusNotFound) {
+			t.Errorf("job %d (%s): status %d, evicted %t", i, id, status, evicted)
+		}
+	}
+
+	again := submitJob(t, ts, grids[0], http.StatusAccepted)
+	if again.ID != ids[0] {
+		t.Fatalf("resubmission got ID %s, want %s", again.ID, ids[0])
+	}
+	waitJobState(t, ts, again.ID, JobStateDone, 2*time.Minute)
+	if _, got := getJSON(t, ts, "/v1/sweeps/"+again.ID+"/result"); !bytes.Equal(got, results[0]) {
+		t.Fatal("recomputed result of an evicted job differs from the original bytes")
+	}
+	if got := doneInMemory(s); got != maxDoneJobs {
+		t.Errorf("%d done jobs in memory after the resubmission, want %d", got, maxDoneJobs)
+	}
+}
+
+// With a job directory, an evicted done job is reloaded from disk by a
+// lookup or a resubmission: /result and the /events shard payloads are
+// the original bytes, the resubmission dedupes onto it instead of
+// recomputing, and the reload is flagged recovered like a restart.
+func TestJobStoreEvictionReloadsFromJobDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+	dir := t.TempDir()
+	s, ts := newJobServer(t, dir)
+
+	grids := uniqueJobGrids(maxDoneJobs + 2)
+	first := submitJob(t, ts, grids[0], http.StatusAccepted)
+	done := waitJobState(t, ts, first.ID, JobStateDone, 2*time.Minute)
+	_, want := getJSON(t, ts, "/v1/sweeps/"+first.ID+"/result")
+	wantEvents := jobEvents(t, ts, first.ID)
+	runJobs(t, ts, grids[1:])
+
+	evicted := func(id string) bool {
+		s.jobs.mu.Lock()
+		defer s.jobs.mu.Unlock()
+		_, ok := s.jobs.jobs[id]
+		return !ok
+	}
+	if !evicted(first.ID) {
+		t.Fatal("the first job to finish was not evicted")
+	}
+	if got := doneInMemory(s); got != maxDoneJobs {
+		t.Fatalf("%d done jobs in memory, want the cap %d", got, maxDoneJobs)
+	}
+
+	status, body := getJSON(t, ts, "/v1/sweeps/"+first.ID)
+	if status != http.StatusOK {
+		t.Fatalf("evicted job status: %d: %s", status, body)
+	}
+	var reloaded JobResponse
+	if err := json.Unmarshal(body, &reloaded); err != nil {
+		t.Fatal(err)
+	}
+	if reloaded.State != JobStateDone || !reloaded.Recovered {
+		t.Fatalf("reloaded job = state %q recovered %t, want done/true", reloaded.State, reloaded.Recovered)
+	}
+	checkRecoveredShards(t, done, &reloaded)
+	if _, got := getJSON(t, ts, "/v1/sweeps/"+first.ID+"/result"); !bytes.Equal(got, want) {
+		t.Fatal("reloaded result differs from the original bytes")
+	}
+	checkRecoveredEvents(t, wantEvents, jobEvents(t, ts, first.ID))
+	if got := doneInMemory(s); got > maxDoneJobs {
+		t.Errorf("%d done jobs in memory after a reload, want at most %d", got, maxDoneJobs)
+	}
+
+	// Evict it again, then resubmit: the resubmission must dedupe onto
+	// the job on disk rather than compute a fresh one.
+	s.jobs.mu.Lock()
+	delete(s.jobs.jobs, first.ID)
+	s.jobs.mu.Unlock()
+	again := submitJob(t, ts, grids[0], http.StatusOK)
+	if again.ID != first.ID || again.State != JobStateDone || !again.Recovered {
+		t.Fatalf("resubmission = %s %q recovered %t, want the done job %s reloaded", again.ID, again.State, again.Recovered, first.ID)
+	}
+	series := scrape(t, ts)
+	if got := series[`msoc_job_submissions_total{result="deduped"}`]; got != 1 {
+		t.Errorf("deduped submissions = %v, want 1", got)
+	}
+	if got := series[`msoc_job_submissions_total{result="accepted"}`]; got != float64(len(grids)) {
+		t.Errorf("accepted submissions = %v, want %d (nothing recomputed)", got, len(grids))
+	}
+	if _, got := getJSON(t, ts, "/v1/sweeps/"+first.ID+"/result"); !bytes.Equal(got, want) {
+		t.Fatal("result after a deduped resubmission differs from the original bytes")
+	}
+}
+
+// Concurrent lookups of evicted jobs reload and re-evict them under the
+// manager's lock: every reader sees the original bytes, and memory
+// never holds more than the cap.
+func TestJobStoreConcurrentReloads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
+	s, ts := newJobServer(t, t.TempDir())
+	ids, results := runJobs(t, ts, uniqueJobGrids(maxDoneJobs+4))
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range ids {
+				// Each reader walks the IDs from its own offset, so evicted
+				// and resident jobs are looked up at once.
+				i := (k + g*len(ids)/4) % len(ids)
+				resp, err := http.Get(ts.URL + "/v1/sweeps/" + ids[i] + "/result")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, results[i]) {
+					t.Errorf("job %d: status %d (err %v), result differs: %t", i, resp.StatusCode, err, !bytes.Equal(body, results[i]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := doneInMemory(s); got > maxDoneJobs {
+		t.Errorf("%d done jobs in memory after concurrent reloads, want at most %d", got, maxDoneJobs)
+	}
+}
+
+// Eviction drops only done jobs, those that finished first, and only
+// down to the cap; running and failed jobs stay however old they are.
+func TestEvictDoneKeepsRunningAndFailedJobs(t *testing.T) {
+	m := &jobManager{jobs: map[string]*job{}}
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	add := func(id, state string, finished time.Time) {
+		m.jobs[id] = &job{state: state, finishedAt: finished}
+	}
+	add("running", JobStateRunning, time.Time{})
+	add("failed", JobStateFailed, base.Add(-time.Hour))
+	for i := range maxDoneJobs + 3 {
+		// Finish times descend with i, so the last three are the oldest.
+		add(fmt.Sprintf("done%02d", i), JobStateDone, base.Add(-time.Duration(i)*time.Minute))
+	}
+	m.evictDoneLocked()
+	for _, id := range []string{"running", "failed", "done00", fmt.Sprintf("done%02d", maxDoneJobs-1)} {
+		if _, ok := m.jobs[id]; !ok {
+			t.Errorf("%s evicted", id)
+		}
+	}
+	for i := maxDoneJobs; i < maxDoneJobs+3; i++ {
+		if id := fmt.Sprintf("done%02d", i); m.jobs[id] != nil {
+			t.Errorf("%s, one of the oldest done jobs, kept", id)
+		}
+	}
+	if len(m.jobs) != maxDoneJobs+2 {
+		t.Errorf("%d jobs kept, want %d", len(m.jobs), maxDoneJobs+2)
+	}
+}
+
+// Only IDs shaped like jobID's output ever reach the filesystem, so a
+// path value cannot name anything outside the job directory.
+func TestJobLookupRejectsNonJobIDs(t *testing.T) {
+	for _, id := range []string{"", "..", "../../etc/passwd", "0123456789abcde", "0123456789abcdef0",
+		"0123456789ABCDEF", "0123456789abcdeg", "01234567/9abcdef", "........"} {
+		if isJobID(id) {
+			t.Errorf("isJobID(%q) = true", id)
+		}
+	}
+	if !isJobID("0123456789abcdef") {
+		t.Error("isJobID rejects a well-formed ID")
+	}
+
+	// A directory outside the job dir holding a valid finished job must
+	// stay unreachable however the ID is spelled.
+	root := t.TempDir()
+	jobDir := filepath.Join(root, "jobs")
+	s, ts := newJobServer(t, jobDir)
 	jr := submitJob(t, ts, jobTestGrid, http.StatusAccepted)
 	waitJobState(t, ts, jr.ID, JobStateDone, 2*time.Minute)
-	time.Sleep(20 * time.Millisecond)
-	s.jobs.gcOnce() // the ticker fires every minute; drive one pass directly
-
-	if status, _ := getJSON(t, ts, "/v1/sweeps/"+jr.ID); status != http.StatusNotFound {
-		t.Errorf("expired job still answers status %d, want 404", status)
+	s.jobs.mu.Lock()
+	delete(s.jobs.jobs, jr.ID)
+	s.jobs.mu.Unlock()
+	if err := os.Rename(filepath.Join(jobDir, jr.ID), filepath.Join(root, jr.ID)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, jr.ID)); !os.IsNotExist(err) {
-		t.Errorf("expired job directory still present (err=%v)", err)
+	for _, path := range []string{jr.ID, "..%2F" + jr.ID} {
+		if status, body := getJSON(t, ts, "/v1/sweeps/"+path); status != http.StatusNotFound {
+			t.Errorf("GET /v1/sweeps/%s: status %d, want 404: %s", path, status, body)
+		}
 	}
 }
 

@@ -116,7 +116,9 @@ type Options struct {
 	JobDir string
 	// JobRetention, when positive, is how long a finished or failed
 	// job's state (and its JobDir checkpoints) is kept before a
-	// background sweep removes it; 0 keeps jobs forever.
+	// background sweep removes it, with or without JobDir; 0 keeps jobs
+	// forever. Independently of it, memory holds at most 16 done jobs
+	// (see maxDoneJobs).
 	JobRetention time.Duration
 	// Logf receives the server's structured log lines: fleet transitions
 	// (worker admitted/suspect/evicted/re-admitted/removed), durable-job

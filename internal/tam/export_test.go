@@ -34,3 +34,23 @@ func TestScheduleCSV(t *testing.T) {
 		}
 	}
 }
+
+// ColdWinner runs Optimize's cold path up to the choice of winner and
+// returns the winning schedule unpolished, with whether improve moved a
+// job in it. It exposes the loops to the external property tests.
+func ColdWinner(jobs []*Job, width int) (*Schedule, bool, error) {
+	if err := validateJobs(jobs, width); err != nil {
+		return nil, false, err
+	}
+	cfg := config{improvePasses: len(jobs), paretoOnly: true}
+	return packCold(jobs, width, newFitter(newOptionTable(jobs, width, cfg), width, cfg))
+}
+
+// Polish runs Optimize's repack + improve polish on s in place, with
+// Optimize's default options for the jobs.
+func Polish(s *Schedule, jobs []*Job) {
+	cfg := config{improvePasses: len(jobs), paretoOnly: true}
+	f := newFitter(newOptionTable(jobs, s.Width, cfg), s.Width, cfg)
+	repack(s, f)
+	improve(s, f)
+}

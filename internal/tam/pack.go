@@ -85,6 +85,10 @@ func WithContext(ctx context.Context) Option {
 // position and width option minimizing its finish time (preferring
 // narrower widths on ties), and a bounded improvement loop then re-places
 // the jobs that define the makespan, letting them widen into idle wires.
+// The winning schedule then gets the repack + improve polish, unless
+// improve moved nothing in it: a purely greedy winner is already a fixed
+// point of both loops, so skipping them leaves every placement as is.
+// A warm-started packing always gets the polish.
 //
 // The three complementary packing orderings are independent, so they run
 // concurrently; the winner is chosen deterministically (smallest
@@ -103,42 +107,6 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	}
 	if err := validateJobs(jobs, width); err != nil {
 		return nil, err
-	}
-
-	target := LowerBound(jobs, width)
-
-	// Serialization groups behave like one long chain: one useful weight
-	// for a job is its whole group's serial time rather than its own
-	// (often short) time, or the chain ends up in a tail behind a
-	// tightly packed bin.
-	groupTotal := map[string]int64{}
-	for _, j := range jobs {
-		if j.Group != "" {
-			groupTotal[j.Group] += j.minTime(width)
-		}
-	}
-	// Per-job sort keys, precomputed so the ordering comparators do no
-	// staircase walks (and no allocations) inside sort.
-	prefTimes := make(map[*Job]int64, len(jobs))
-	volumes := make(map[*Job]int64, len(jobs))
-	for _, j := range jobs {
-		prefTimes[j] = timeFor(j, preferredWidth(j, width, target))
-		volumes[j] = j.volume(width)
-	}
-	chainWeight := func(j *Job) int64 {
-		if j.Group != "" {
-			return groupTotal[j.Group]
-		}
-		return prefTimes[j]
-	}
-
-	// Greedy list scheduling is sensitive to the job order; pack with a
-	// few complementary orderings and keep the best schedule. All
-	// orderings share deterministic tie-breaking by ID.
-	orderings := []func(j *Job) int64{
-		chainWeight,
-		func(j *Job) int64 { return prefTimes[j] },
-		func(j *Job) int64 { return volumes[j] },
 	}
 
 	shared := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
@@ -180,7 +148,77 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 		}
 	}
 
+	best, moved, err := packCold(jobs, width, shared)
+	if err != nil {
+		return nil, err
+	}
+
+	// Polish only the winning schedule: repack re-places every job, so
+	// running it per ordering buys little for its cost. A winner improve
+	// left untouched is purely greedy, and then the polish is the
+	// identity: each job was placed at its best placement given only the
+	// jobs packed before it, every other job only shrinks its feasible
+	// region, and its current placement stays in that region — so
+	// bestPlacement returns it again, ties included.
+	// TestRepackIdentityOnGreedyWinners pins this. (With improvePasses
+	// 0, improve never moves a job, so the polish is off as asked.)
+	if moved {
+		repack(best, shared)
+		improve(best, shared)
+	}
+
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
+	}
+	if err := best.Validate(); err != nil {
+		return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
+	}
+	return best, nil
+}
+
+// packCold is the cold path of Optimize up to the choice of winner: it
+// packs the three orderings concurrently, each on its own fork of f,
+// and returns the winning schedule unpolished, with whether improve
+// moved a job in it.
+func packCold(jobs []*Job, width int, f *fitter) (*Schedule, bool, error) {
+	target := LowerBound(jobs, width)
+
+	// Serialization groups behave like one long chain: one useful weight
+	// for a job is its whole group's serial time rather than its own
+	// (often short) time, or the chain ends up in a tail behind a
+	// tightly packed bin.
+	groupTotal := map[string]int64{}
+	for _, j := range jobs {
+		if j.Group != "" {
+			groupTotal[j.Group] += j.minTime(width)
+		}
+	}
+	// Per-job sort keys, precomputed so the ordering comparators do no
+	// staircase walks (and no allocations) inside sort.
+	prefTimes := make(map[*Job]int64, len(jobs))
+	volumes := make(map[*Job]int64, len(jobs))
+	for _, j := range jobs {
+		prefTimes[j] = timeFor(j, preferredWidth(j, width, target))
+		volumes[j] = j.volume(width)
+	}
+	chainWeight := func(j *Job) int64 {
+		if j.Group != "" {
+			return groupTotal[j.Group]
+		}
+		return prefTimes[j]
+	}
+
+	// Greedy list scheduling is sensitive to the job order; pack with a
+	// few complementary orderings and keep the best schedule. All
+	// orderings share deterministic tie-breaking by ID.
+	orderings := []func(j *Job) int64{
+		chainWeight,
+		func(j *Job) int64 { return prefTimes[j] },
+		func(j *Job) int64 { return volumes[j] },
+	}
+
 	results := make([]*Schedule, len(orderings))
+	moved := make([]bool, len(orderings))
 	errs := make([]error, len(orderings))
 	var wg sync.WaitGroup
 	for oi, key := range orderings {
@@ -199,35 +237,21 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 				}
 				return order[a].ID < order[b].ID
 			})
-			results[oi], errs[oi] = packList(order, shared.fork())
+			results[oi], moved[oi], errs[oi] = packList(order, f.fork())
 		}(oi, key)
 	}
 	wg.Wait()
 
-	var best *Schedule
+	bi := -1
 	for oi := range results {
 		if errs[oi] != nil {
-			return nil, errs[oi]
+			return nil, false, errs[oi]
 		}
-		if best == nil || results[oi].Makespan < best.Makespan {
-			best = results[oi]
+		if bi < 0 || results[oi].Makespan < results[bi].Makespan {
+			bi = oi
 		}
 	}
-
-	// Polish only the winning schedule: repack re-places every job, so
-	// running it per ordering buys little for its cost.
-	if cfg.improvePasses > 0 {
-		repack(best, shared)
-		improve(best, shared)
-	}
-
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
-	}
-	if err := best.Validate(); err != nil {
-		return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
-	}
-	return best, nil
+	return results[bi], moved[bi], nil
 }
 
 // adoptSeed rebuilds a warm-start seed over this Optimize call's job
@@ -321,26 +345,27 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 }
 
 // packList packs the jobs in the given order and runs the improvement
-// loop.
-func packList(order []*Job, f *fitter) (*Schedule, error) {
-	s := &Schedule{Width: f.binWidth}
+// loop. moved reports whether the loop changed any placement; when it
+// did not, the schedule is purely greedy: every job sits at its best
+// placement given the jobs packed before it.
+func packList(order []*Job, f *fitter) (s *Schedule, moved bool, err error) {
+	s = &Schedule{Width: f.binWidth}
 	s.Placements = make([]Placement, 0, len(order))
 	f.reset(s.Placements)
 	for _, j := range order {
 		if err := f.cfg.ctxErr(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		p, ok := f.bestPlacement(j, s.Placements)
 		if !ok {
-			return nil, fmt.Errorf("tam: could not place job %s", j.ID)
+			return nil, false, fmt.Errorf("tam: could not place job %s", j.ID)
 		}
 		f.place(s, p)
 		if p.End > s.Makespan {
 			s.Makespan = p.End
 		}
 	}
-	improve(s, f)
-	return s, nil
+	return s, improve(s, f), nil
 }
 
 // repack removes and re-places every job once, always picking the
@@ -422,7 +447,9 @@ func candidateWidths(j *Job, binWidth int, cfg config) []wrapper.Point {
 // loop moves on to the next one instead of giving up — moving the others
 // frees wires and windows that can unstick it on a later pass — and only
 // stops once a whole pass leaves every makespan-defining job in place.
-func improve(s *Schedule, f *fitter) {
+// It reports whether it moved any job; Optimize skips its repack and
+// improve polish on a cold winner this left untouched.
+func improve(s *Schedule, f *fitter) (movedAny bool) {
 	tried := make(map[*Job]bool)
 	f.reset(s.Placements)
 	for pass := 0; pass < f.cfg.improvePasses; pass++ {
@@ -431,7 +458,7 @@ func improve(s *Schedule, f *fitter) {
 		for {
 			// Cancelled runs are abandoned by Optimize; see repack.
 			if f.cfg.ctxErr() != nil {
-				return
+				return movedAny
 			}
 			// The next makespan-defining placement not yet tried this
 			// pass (stable choice by ID).
@@ -461,8 +488,9 @@ func improve(s *Schedule, f *fitter) {
 			f.place(s, p)
 		}
 		if !moved {
-			return
+			return movedAny
 		}
+		movedAny = true
 		s.Makespan = 0
 		for i := range s.Placements {
 			if s.Placements[i].End > s.Makespan {
@@ -470,4 +498,5 @@ func improve(s *Schedule, f *fitter) {
 			}
 		}
 	}
+	return movedAny
 }

@@ -22,7 +22,7 @@ type Packer interface {
 const (
 	// BackendOccupancy names the default occupancy-sweep backend
 	// (Optimize): three complementary orderings packed concurrently,
-	// then a repack + improve polish.
+	// then a repack + improve polish unless the winner is purely greedy.
 	BackendOccupancy = "occupancy"
 	// BackendRectangle names the rectangle bin-packing backend
 	// (PackRectangle): one diagonal-length ordering pass (arXiv

@@ -129,7 +129,7 @@ func PackRectangle(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 		}
 	}
 
-	s, err := packList(order, shared)
+	s, _, err := packList(order, shared)
 	if err != nil {
 		return nil, err
 	}

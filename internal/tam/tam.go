@@ -60,26 +60,32 @@ func (j *Job) Validate(binWidth int) error {
 	return nil
 }
 
-// usable returns the options that fit in the bin.
+// usable returns the options that fit in the bin: the prefix of the
+// staircase up to binWidth, as a capacity-capped subslice of Options, so
+// it never allocates and an append to it can never write into the job.
+// It relies on the strictly increasing widths Validate checks; every
+// caller packs validated jobs.
 func (j *Job) usable(binWidth int) []wrapper.Point {
-	var out []wrapper.Point
-	for _, p := range j.Options {
-		if p.Width <= binWidth {
-			out = append(out, p)
-		}
+	n := 0
+	for n < len(j.Options) && j.Options[n].Width <= binWidth {
+		n++
 	}
-	return out
+	return j.Options[:n:n]
 }
 
 // widest returns the widest usable option, falling back to the job's
 // narrowest option when even that exceeds the bin (callers that need a
 // feasible placement validate separately; bounds stay conservative).
+// Like minVolume it scans every option rather than a prefix, so the
+// lower bounds keep their meaning on staircases nobody has validated.
 func (j *Job) widest(binWidth int) wrapper.Point {
-	u := j.usable(binWidth)
-	if len(u) == 0 {
-		return j.Options[0]
+	best := j.Options[0]
+	for _, p := range j.Options {
+		if p.Width <= binWidth {
+			best = p
+		}
 	}
-	return u[len(u)-1]
+	return best
 }
 
 // minTime is the job's test time at its widest usable option.
@@ -95,16 +101,13 @@ func (j *Job) volume(binWidth int) int64 {
 // minVolume is the smallest wire-cycle area among the job's usable
 // options — the least work any feasible placement can add to the bin
 // (staircases trade wires for time imperfectly, so the cheapest area
-// need not sit at either end).
+// need not sit at either end). With no usable option it is the
+// narrowest option's area.
 func (j *Job) minVolume(binWidth int) int64 {
-	u := j.usable(binWidth)
-	if len(u) == 0 {
-		u = j.Options[:1]
-	}
-	best := int64(u[0].Width) * u[0].Time
-	for _, p := range u[1:] {
-		if v := int64(p.Width) * p.Time; v < best {
-			best = v
+	best, found := int64(j.Options[0].Width)*j.Options[0].Time, false
+	for _, p := range j.Options {
+		if v := int64(p.Width) * p.Time; p.Width <= binWidth && (!found || v < best) {
+			best, found = v, true
 		}
 	}
 	return best

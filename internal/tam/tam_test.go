@@ -331,3 +331,89 @@ func BenchmarkOptimizeP93791W64(b *testing.B) {
 		}
 	}
 }
+
+// The staircase helpers run for every job of every Optimize call and
+// every planner bound, so they must not allocate: usable hands out a
+// prefix of the job's own staircase, and the rest scan it in place.
+func TestStaircaseHelpersAllocateNothing(t *testing.T) {
+	jobs := append(digitalJobs(t, 64),
+		groupJob("A/x", "wrapper0", 4, 100), groupJob("A/y", "wrapper0", 2, 50),
+		groupJob("B/z", "wrapper1", 8, 70))
+	for _, w := range []int{8, 16, 32, 64} {
+		target := LowerBound(jobs, w)
+		var sink int64
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, j := range jobs {
+				sink += int64(len(j.usable(w)))
+				sink += int64(preferredWidth(j, w, target))
+				sink += j.minTime(w) + j.minVolume(w)
+			}
+			sink += LowerBound(jobs, w) + AdmissibleLowerBound(jobs, w)
+		})
+		if allocs != 0 {
+			t.Errorf("W=%d: staircase helpers allocate %.1f times per pass over %d jobs, want 0", w, allocs, len(jobs))
+		}
+		if sink == 0 {
+			t.Fatal("helpers computed nothing")
+		}
+	}
+}
+
+// usable is a capacity-capped prefix of the job's staircase, so a caller
+// appending to it can never overwrite the job's wider options.
+func TestUsableIsCappedPrefix(t *testing.T) {
+	j := &Job{ID: "d", Options: []wrapper.Point{{Width: 1, Time: 40}, {Width: 2, Time: 30}, {Width: 4, Time: 10}}}
+	u := j.usable(3)
+	if len(u) != 2 || cap(u) != 2 || &u[0] != &j.Options[0] {
+		t.Fatalf("usable(3) = %v (cap %d), want the 2-option prefix", u, cap(u))
+	}
+	_ = append(u, wrapper.Point{Width: 3, Time: 20})
+	if j.Options[2] != (wrapper.Point{Width: 4, Time: 10}) {
+		t.Fatalf("append to usable clobbered the staircase: %v", j.Options)
+	}
+	if n := len(j.usable(0)); n != 0 {
+		t.Fatalf("usable(0) has %d options, want 0", n)
+	}
+}
+
+// The lower bounds run before any Job.Validate on the planner's bound
+// path, so widest, minTime and minVolume keep their meaning on any
+// staircase: they consider exactly the options that fit the bin, in any
+// order, and fall back to the first option when none fits.
+func TestBoundHelpersFilterUnvalidatedStaircases(t *testing.T) {
+	fits := func(j *Job, w int) []wrapper.Point {
+		var out []wrapper.Point
+		for _, p := range j.Options {
+			if p.Width <= w {
+				out = append(out, p)
+			}
+		}
+		if len(out) == 0 {
+			out = j.Options[:1]
+		}
+		return out
+	}
+	jobs := []*Job{
+		{ID: "desc", Options: []wrapper.Point{{Width: 8, Time: 10}, {Width: 4, Time: 20}, {Width: 6, Time: 5}}},
+		{ID: "flat", Options: []wrapper.Point{{Width: 2, Time: 9}, {Width: 3, Time: 9}, {Width: 1, Time: 30}}},
+		{ID: "valid", Options: []wrapper.Point{{Width: 1, Time: 40}, {Width: 2, Time: 30}, {Width: 4, Time: 10}}},
+	}
+	for _, j := range jobs {
+		for w := 0; w <= 9; w++ {
+			u := fits(j, w)
+			wantVol := int64(u[0].Width) * u[0].Time
+			for _, p := range u {
+				wantVol = min(wantVol, int64(p.Width)*p.Time)
+			}
+			if got := j.widest(w); got != u[len(u)-1] {
+				t.Errorf("%s W=%d: widest = %v, want %v", j.ID, w, got, u[len(u)-1])
+			}
+			if got := j.minTime(w); got != u[len(u)-1].Time {
+				t.Errorf("%s W=%d: minTime = %d, want %d", j.ID, w, got, u[len(u)-1].Time)
+			}
+			if got := j.minVolume(w); got != wantVol {
+				t.Errorf("%s W=%d: minVolume = %d, want %d", j.ID, w, got, wantVol)
+			}
+		}
+	}
+}
