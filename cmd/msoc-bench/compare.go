@@ -5,7 +5,9 @@ package main
 // directories of them), it diffs wall times and headline metrics and
 // exits non-zero when the new trail is slower beyond a threshold — or
 // when a metric changed at all, because a "perf" change that moves
-// results is a correctness change wearing a disguise.
+// results is a correctness change wearing a disguise. Metrics that only
+// the new trail has and allocation counts are advisory: they are
+// printed, never failed on.
 
 import (
 	"encoding/json"
@@ -23,6 +25,7 @@ type comparison struct {
 	NewSeconds float64
 	Regressed  bool     // time regression beyond the threshold
 	Drifted    []string // metrics that changed value or disappeared
+	Advisory   []string // new metrics and allocation changes; never a failure
 	Notes      string
 }
 
@@ -89,7 +92,35 @@ func comparePair(oldR, newR *report, regressPct, minSeconds float64) comparison 
 			c.Drifted = append(c.Drifted, fmt.Sprintf("%s: %v -> %v", k, oldR.Metrics[k], nv))
 		}
 	}
+	added := make([]string, 0, len(newR.Metrics))
+	for k := range newR.Metrics {
+		if _, ok := oldR.Metrics[k]; !ok {
+			added = append(added, k)
+		}
+	}
+	sort.Strings(added)
+	for _, k := range added {
+		c.Advisory = append(c.Advisory, fmt.Sprintf("%s: (new) -> %v", k, newR.Metrics[k]))
+	}
+	c.Advisory = appendAllocChange(c.Advisory, "allocs", oldR.Allocs, newR.Allocs)
+	c.Advisory = appendAllocChange(c.Advisory, "alloc_bytes", oldR.AllocBytes, newR.AllocBytes)
 	return c
+}
+
+// appendAllocChange renders one allocation counter's change. A trail
+// written before the counters existed reads 0, which means unknown: the
+// change is then shown as new (or missing) instead of as a percentage.
+func appendAllocChange(lines []string, name string, oldV, newV uint64) []string {
+	switch {
+	case oldV == 0 && newV == 0:
+		return lines
+	case oldV == 0:
+		return append(lines, fmt.Sprintf("%s: (new) -> %d", name, newV))
+	case newV == 0:
+		return append(lines, fmt.Sprintf("%s: %d -> (missing)", name, oldV))
+	}
+	return append(lines, fmt.Sprintf("%s: %d -> %d (%+.1f%%)", name, oldV, newV,
+		100*(float64(newV)-float64(oldV))/float64(oldV)))
 }
 
 // runCompare diffs two trails and renders a report as lines. The second
@@ -153,6 +184,9 @@ func runCompare(oldPath, newPath string, regressPct, minSeconds float64, allowDr
 		lines = append(lines, line)
 		for _, d := range c.Drifted {
 			lines = append(lines, "                   "+d)
+		}
+		for _, a := range c.Advisory {
+			lines = append(lines, "                   "+a)
 		}
 	}
 	extra := make([]string, 0, len(newReps))

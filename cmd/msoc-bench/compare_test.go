@@ -126,3 +126,58 @@ func TestRunCompareEndToEnd(t *testing.T) {
 		t.Errorf("single-file compare failed (failures=%v err=%v)", failures, err)
 	}
 }
+
+// A metric only the new trail has is rendered as "(new) -> v", the way
+// -trend shows it, and never fails the compare.
+func TestCompareRendersNewMetrics(t *testing.T) {
+	oldDir, newDir := t.TempDir(), t.TempDir()
+	writeReport(t, oldDir, report{Name: "a", BestSeconds: 1.0, Metrics: map[string]float64{"m": 1}})
+	writeReport(t, newDir, report{Name: "a", BestSeconds: 1.0, Metrics: map[string]float64{"m": 1, "n": 5}})
+	lines, failures, err := runCompare(oldDir, newDir, 15, 0.01, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(lines, "\n")
+	if len(failures) != 0 {
+		t.Errorf("a new metric failed the compare: %v\n%s", failures, joined)
+	}
+	if !strings.Contains(joined, "n: (new) -> 5") {
+		t.Errorf("new metric not rendered:\n%s", joined)
+	}
+	if strings.Contains(joined, "DRIFTED") {
+		t.Errorf("a new metric reported as drift:\n%s", joined)
+	}
+}
+
+// Allocation counts are advisory: their change is printed, never
+// failed on, and a trail written before they existed (no alloc fields
+// in its JSON) compares cleanly.
+func TestCompareAllocsAdvisory(t *testing.T) {
+	oldDir, newDir := t.TempDir(), t.TempDir()
+	legacy := `{"name":"a","best_wall_seconds":1,"wall_seconds":[1],"metrics":{"m":1}}`
+	if err := os.WriteFile(filepath.Join(oldDir, "BENCH_a.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeReport(t, oldDir, report{Name: "b", BestSeconds: 1.0, Metrics: map[string]float64{"m": 1}, Allocs: 1000, AllocBytes: 4000})
+	writeReport(t, newDir, report{Name: "a", BestSeconds: 1.0, Metrics: map[string]float64{"m": 1}, Allocs: 10, AllocBytes: 20})
+	writeReport(t, newDir, report{Name: "b", BestSeconds: 1.0, Metrics: map[string]float64{"m": 1}, Allocs: 1500, AllocBytes: 2000})
+	lines, failures, err := runCompare(oldDir, newDir, 15, 0.01, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(lines, "\n")
+	if len(failures) != 0 {
+		t.Errorf("allocation changes failed the compare: %v\n%s", failures, joined)
+	}
+	for _, frag := range []string{"allocs: (new) -> 10", "alloc_bytes: (new) -> 20",
+		"allocs: 1000 -> 1500 (+50.0%)", "alloc_bytes: 4000 -> 2000 (-50.0%)"} {
+		if !strings.Contains(joined, frag) {
+			t.Errorf("compare output missing %q:\n%s", frag, joined)
+		}
+	}
+	// New trail without counters against an old one with them.
+	_, failures, err = runCompare(newDir, oldDir, 15, 0.01, false)
+	if err != nil || len(failures) != 0 {
+		t.Errorf("reverse compare failed (failures=%v err=%v)", failures, err)
+	}
+}

@@ -13,11 +13,16 @@
 // wall time over -repeat runs, and embeds the experiment's headline
 // metrics so a perf change that altered results is immediately visible.
 //
+// Each file also records the heap bytes and objects the best run
+// allocated (alloc_bytes, allocs).
+//
 // The -compare form diffs two perf trails — single BENCH_*.json files
 // or directories of them — and exits non-zero when a benchmark's best
 // wall time regressed by more than -regress-pct (default 15%) or any
-// headline metric changed, naming exactly which benchmark and metric;
-// this makes the trail enforceable in CI.
+// headline metric changed or disappeared, naming exactly which
+// benchmark and metric; this makes the trail enforceable in CI. Metrics
+// only the new trail has, and allocation changes, are printed as
+// advisory lines and never fail it.
 //
 // The -trend form reads a whole chronological sequence of trails
 // (files, directories, or one directory of trail subdirectories) and
@@ -56,6 +61,12 @@ type report struct {
 	BestSeconds float64            `json:"best_wall_seconds"`
 	AllSeconds  []float64          `json:"wall_seconds"`
 	Metrics     map[string]float64 `json:"metrics"`
+	// AllocBytes and Allocs are the heap bytes and objects the best
+	// run allocated (runtime.MemStats deltas). They sit beside Metrics,
+	// not in it, so -compare reports them as advisory text rather than
+	// as result drift; trails written before they existed read as 0.
+	AllocBytes uint64 `json:"alloc_bytes"`
+	Allocs     uint64 `json:"allocs"`
 }
 
 type benchmark struct {
@@ -363,16 +374,21 @@ func main() {
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Repeats:    *repeat,
 		}
+		var before, after runtime.MemStats
 		for i := 0; i < *repeat; i++ {
+			runtime.ReadMemStats(&before)
 			start := time.Now()
 			metrics, err := b.run()
 			secs := time.Since(start).Seconds()
+			runtime.ReadMemStats(&after)
 			if err != nil {
 				log.Fatalf("%s: %v", b.name, err)
 			}
 			rep.AllSeconds = append(rep.AllSeconds, secs)
 			if rep.BestSeconds == 0 || secs < rep.BestSeconds {
 				rep.BestSeconds = secs
+				rep.AllocBytes = after.TotalAlloc - before.TotalAlloc
+				rep.Allocs = after.Mallocs - before.Mallocs
 			}
 			rep.Metrics = metrics
 		}

@@ -174,6 +174,13 @@ type Evaluator struct {
 
 	cache *ScheduleCache
 
+	// prefix holds the greedy placements of this evaluator's packings:
+	// every configuration packs the same digital jobs, and their
+	// packing orderings share long prefixes, which later packings
+	// resume from instead of placing again (see tam.PrefixStore). It
+	// lives and dies with the evaluator, so it never outgrows one plan.
+	prefix *tam.PrefixStore
+
 	mu      sync.Mutex
 	counted map[string]bool
 	runs    int
@@ -199,7 +206,8 @@ func NewSharedEvaluator(d *Design, width int, cache *ScheduleCache) *Evaluator {
 	if cache == nil {
 		cache = NewScheduleCache()
 	}
-	return &Evaluator{Design: d, Width: width, Packer: tam.OccupancyPacker{}, cache: cache, counted: map[string]bool{}}
+	return &Evaluator{Design: d, Width: width, Packer: tam.OccupancyPacker{}, cache: cache,
+		prefix: tam.NewPrefixStore(), counted: map[string]bool{}}
 }
 
 // Runs returns the number of TAM optimizer invocations accounted so far:
@@ -274,7 +282,7 @@ func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string,
 		ent.err = err
 		return
 	}
-	var opts []tam.Option
+	opts := []tam.Option{tam.WithPrefixStore(e.prefix)}
 	for _, warm := range e.Warm {
 		if seed := warm.Peek(key); seed != nil {
 			opts = append(opts, tam.WithWarmStart(seed))

@@ -17,6 +17,7 @@ type config struct {
 	paretoOnly    bool
 	warm          []*Schedule
 	ctx           context.Context
+	prefix        *PrefixStore
 }
 
 // ctxErr reports the config's context error, treating a nil context as
@@ -93,7 +94,9 @@ func WithContext(ctx context.Context) Option {
 // The three complementary packing orderings are independent, so they run
 // concurrently; the winner is chosen deterministically (smallest
 // makespan, first ordering on ties), making the result identical to a
-// sequential evaluation.
+// sequential evaluation. Under WithPrefixStore each ordering's greedy
+// pass resumes after the longest prefix of its job order the store
+// already holds, which changes no placement.
 func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	cfg := config{improvePasses: len(jobs), paretoOnly: true}
 	for _, o := range opts {
@@ -348,11 +351,24 @@ func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
 // loop. moved reports whether the loop changed any placement; when it
 // did not, the schedule is purely greedy: every job sits at its best
 // placement given the jobs packed before it.
+//
+// With a prefix store (WithPrefixStore) the greedy pass first adopts
+// the placements the store holds for the longest prefix of order, then
+// places the remaining jobs and records each placement under the one
+// before it. A placement depends only on the placements before it, so
+// the resumed pass builds exactly the schedule a fresh one would.
 func packList(order []*Job, f *fitter) (s *Schedule, moved bool, err error) {
 	s = &Schedule{Width: f.binWidth}
 	s.Placements = make([]Placement, 0, len(order))
+	st, at := f.cfg.prefix, int32(0)
+	if st != nil {
+		s.Placements, at = st.resume(f.binWidth, f.cfg.paretoOnly, order, s.Placements)
+		for i := range s.Placements {
+			s.Makespan = max(s.Makespan, s.Placements[i].End)
+		}
+	}
 	f.reset(s.Placements)
-	for _, j := range order {
+	for _, j := range order[len(s.Placements):] {
 		if err := f.cfg.ctxErr(); err != nil {
 			return nil, false, err
 		}
@@ -363,6 +379,9 @@ func packList(order []*Job, f *fitter) (s *Schedule, moved bool, err error) {
 		f.place(s, p)
 		if p.End > s.Makespan {
 			s.Makespan = p.End
+		}
+		if st != nil {
+			at = st.add(at, &p)
 		}
 	}
 	return s, improve(s, f), nil
