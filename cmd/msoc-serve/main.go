@@ -16,7 +16,7 @@
 // Endpoints:
 //
 //	POST /v1/plan              {"width":32,"wt":0.5[,"exhaustive":true][,"design":{...}]}
-//	POST /v1/sweep             {"widths":[32,48,64],"wts":[0.5,0.25][,"warm_start":true]}
+//	POST /v1/sweep             {"widths":[32,48,64],"wts":[0.5,0.25][,"exhaustive":true]}
 //	POST /v1/shard             one round-robin shard of a sweep (what coordinators send)
 //	POST /v1/sweeps            submit a sweep as a durable async job; returns its ID
 //	GET  /v1/sweeps/{id}        job status with per-shard progress

@@ -46,14 +46,12 @@ func ExampleScheduleFor() {
 
 // ExampleSweepWith sweeps the cost surface over several TAM widths,
 // using Select to solve only a chosen slice of the grid — the hook a
-// sharded runner uses to split one grid across machines — and
-// WarmStart to seed each width's packings from the previous width.
+// sharded runner uses to split one grid across machines.
 func ExampleSweepWith() {
 	design := mixsoc.P93791M()
 	points, err := mixsoc.SweepWith(design, []int{16, 24, 32}, []mixsoc.Weights{mixsoc.EqualWeights},
 		mixsoc.SweepOptions{
-			WarmStart: true,
-			Select:    func(w int, _ mixsoc.Weights) bool { return w >= 24 },
+			Select: func(w int, _ mixsoc.Weights) bool { return w >= 24 },
 		})
 	if err != nil {
 		fmt.Println(err)
@@ -68,7 +66,7 @@ func ExampleSweepWith() {
 	fmt.Printf("cheapest at W=%d with %d wrappers\n", best.Width, best.Result.Best.Partition.Wrappers())
 	// Output:
 	// solved 2 of 3 widths
-	// cheapest at W=32 with 2 wrappers
+	// cheapest at W=24 with 2 wrappers
 }
 
 // ExampleWrapperAccuracy runs the Section 5 experiment: the cut-off

@@ -9,7 +9,7 @@ import (
 // marshal of the decoded value reproduces the first byte for byte, and
 // the decoded design hashes — and plans — identically.
 func TestDesignCodecRoundTrip(t *testing.T) {
-	d := warmTestDesign()
+	d := paperDesign()
 	data, err := MarshalDesign(d)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestDesignCodecRoundTrip(t *testing.T) {
 // The content hash ignores the display name but reacts to any content
 // change in the digital modules or analog cores.
 func TestDesignHashSemantics(t *testing.T) {
-	base := warmTestDesign()
+	base := paperDesign()
 	h0, err := DesignHash(base)
 	if err != nil {
 		t.Fatal(err)

@@ -37,15 +37,17 @@ type EngineOptions struct {
 	// jobs keyed by digital-SOC hash. Sessions then cache per design
 	// only, as before the caches existed. Results are bit-identical
 	// either way; the flag is an A/B benchmarking and operational escape
-	// hatch.
+	// hatch. The caches hold at most 4096 staircases (one per distinct
+	// module content hash) and 128 digital job sets (one per distinct
+	// digital SOC and width).
 	DisableModuleCache bool
-	// MaxModuleStairs bounds the cross-design staircase store: one entry
-	// per distinct module content hash. Default 4096.
-	MaxModuleStairs int
-	// MaxDigitalJobs bounds the cross-design digital-jobs cache: one
-	// entry per distinct (digital SOC, width) pair. Default 128.
-	MaxDigitalJobs int
 }
+
+// Bounds of the cross-design module-level caches.
+const (
+	maxModuleStairs = 4096
+	maxDigitalJobs  = 128
+)
 
 // Engine is a long-lived planning handle: it owns a staircase cache and
 // per-width schedule caches for every design it has seen, keyed by the
@@ -53,8 +55,7 @@ type EngineOptions struct {
 // threads context cancellation through every planning call. All methods
 // are safe for concurrent use, and every result is bit-identical to the
 // corresponding one-shot free function (Plan, SweepWith, ...): the
-// caches only deduplicate deterministic work, and warm-started sweeps
-// never write into the shared cold caches.
+// caches only deduplicate deterministic work.
 //
 // A zero-valued Engine is not usable; construct with NewEngine.
 type Engine struct {
@@ -89,7 +90,7 @@ type Engine struct {
 
 // engineSession is the cache state of one canonicalized design: the
 // engine-owned design copy, its cross-width staircase cache, and one
-// cold schedule cache per TAM width.
+// schedule cache per TAM width.
 type engineSession struct {
 	engine *Engine
 	hash   string
@@ -135,19 +136,13 @@ func NewEngine(opts EngineOptions) *Engine {
 	if opts.MaxWidthCaches < 1 {
 		opts.MaxWidthCaches = 32
 	}
-	if opts.MaxModuleStairs < 1 {
-		opts.MaxModuleStairs = 4096
-	}
-	if opts.MaxDigitalJobs < 1 {
-		opts.MaxDigitalJobs = 128
-	}
 	e := &Engine{opts: opts, sessions: map[string]*engineSession{}, backends: map[string]*backendCounters{}}
 	for _, name := range tam.Backends() {
 		e.backends[name] = &backendCounters{}
 	}
 	if !opts.DisableModuleCache {
-		e.moduleStairs = wrapper.NewModuleStairStore(opts.MaxWidth, opts.MaxModuleStairs)
-		e.digitalJobs = NewDigitalJobsCache(opts.MaxDigitalJobs)
+		e.moduleStairs = wrapper.NewModuleStairStore(opts.MaxWidth, maxModuleStairs)
+		e.digitalJobs = NewDigitalJobsCache(maxDigitalJobs)
 	}
 	return e
 }
@@ -309,7 +304,7 @@ func (s *engineSession) sweepStairs(maxW int) *wrapper.StaircaseCache {
 	return s.stairs
 }
 
-// sweepCache returns the session's cold schedule cache for width w
+// sweepCache returns the session's schedule cache for width w
 // under the canonically named packing backend, created on first use.
 // (width, backend) pairs are LRU-bounded (maxWidths): evicting one
 // only unshares it — planners already holding the cache keep using it
@@ -428,13 +423,12 @@ func (e *Engine) Schedule(ctx context.Context, d *Design, p partition.Partition,
 }
 
 // Sweep solves the planning problem across TAM widths and weight
-// settings against the design's cache session. Cold sweeps read and
-// populate the session's schedule caches (bit-identical to one-shot
-// SweepWith); WarmStart sweeps draw only the staircase cache, keeping
-// the shared schedule caches strictly cold. Once ctx fires no new grid
-// point is dispatched, the in-flight planners abort at their next
-// cancellation point, and the call returns ctx.Err(); schedules whose
-// packing was aborted are dropped from the caches rather than memoized.
+// settings against the design's cache session, reading and populating
+// its schedule caches (bit-identical to one-shot SweepWith). Once ctx
+// fires no new grid point is dispatched, the in-flight planners abort
+// at their next cancellation point, and the call returns ctx.Err();
+// schedules whose packing was aborted are dropped from the caches
+// rather than memoized.
 func (e *Engine) Sweep(ctx context.Context, d *Design, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
 	s, err := e.session(d)
 	if err != nil {

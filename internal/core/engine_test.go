@@ -11,7 +11,7 @@ import (
 // variantDesign returns a design whose content differs from the paper
 // benchmark, for exercising multi-session engines.
 func variantDesign() *Design {
-	d := warmTestDesign()
+	d := paperDesign()
 	d.Name = "p93791m-variant"
 	d.Analog[0].Tests[0].Cycles += 1000
 	return d
@@ -31,12 +31,12 @@ func sameResult(a, b *Result) bool {
 func TestEngineDefaultAndOccupancyShareCache(t *testing.T) {
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
-	def, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights)
+	def, err := eng.Plan(ctx, paperDesign(), 32, EqualWeights)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := eng.Metrics()
-	occ, err := eng.PlanWith(ctx, warmTestDesign(), 32, EqualWeights, PlanOptions{Backend: "occupancy"})
+	occ, err := eng.PlanWith(ctx, paperDesign(), 32, EqualWeights, PlanOptions{Backend: "occupancy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +60,15 @@ func TestEngineBitIdenticalToDirect(t *testing.T) {
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
 
-	direct, err := NewPlanner(warmTestDesign(), 32, EqualWeights).CostOptimizer()
+	direct, err := NewPlanner(paperDesign(), 32, EqualWeights).CostOptimizer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights)
+	cold, err := eng.Plan(ctx, paperDesign(), 32, EqualWeights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights)
+	warm, err := eng.Plan(ctx, paperDesign(), 32, EqualWeights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestEngineBitIdenticalToDirect(t *testing.T) {
 		t.Error("second plan did not hit the schedule cache")
 	}
 
-	ex, err := eng.PlanExhaustive(ctx, warmTestDesign(), 32, EqualWeights)
+	ex, err := eng.PlanExhaustive(ctx, paperDesign(), 32, EqualWeights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exDirect, err := NewPlanner(warmTestDesign(), 32, EqualWeights).Exhaustive()
+	exDirect, err := NewPlanner(paperDesign(), 32, EqualWeights).Exhaustive()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestEngineBitIdenticalToDirect(t *testing.T) {
 		t.Fatal("engine PlanExhaustive diverges from direct Exhaustive")
 	}
 
-	s, err := eng.Schedule(ctx, warmTestDesign(), warmTestDesign().AllShare(), 32)
+	s, err := eng.Schedule(ctx, paperDesign(), paperDesign().AllShare(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(warmTestDesign(), 32)
-	sd, err := ev.Schedule(warmTestDesign().AllShare())
+	ev := NewEvaluator(paperDesign(), 32)
+	sd, err := ev.Schedule(paperDesign().AllShare())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestEngineSweepBitIdenticalToDirect(t *testing.T) {
 	widths := []int{32, 48}
 	weights := []Weights{EqualWeights, {Time: 0.25, Area: 0.75}}
 
-	direct, err := SweepWith(warmTestDesign(), widths, weights, SweepOptions{})
+	direct, err := SweepWith(paperDesign(), widths, weights, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got, err := eng.Sweep(ctx, warmTestDesign(), widths, weights, SweepOptions{})
+		got, err := eng.Sweep(ctx, paperDesign(), widths, weights, SweepOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,26 +141,18 @@ func TestEngineSweepBitIdenticalToDirect(t *testing.T) {
 		}
 	}
 
-	// A warm-started sweep must leave the cold caches untouched: a cold
-	// plan afterwards still reproduces the direct result bit for bit.
-	before := eng.Metrics().Schedules
-	if _, err := eng.Sweep(ctx, warmTestDesign(), []int{32, 40, 48}, []Weights{EqualWeights},
-		SweepOptions{WarmStart: true}); err != nil {
-		t.Fatal(err)
-	}
-	if after := eng.Metrics().Schedules; after != before {
-		t.Errorf("warm sweep changed the shared cold caches: %d -> %d schedules", before, after)
-	}
-	again, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights)
+	// A plan at a swept width is served from the sweep's caches and
+	// still reproduces a lone planner bit for bit.
+	again, err := eng.Plan(ctx, paperDesign(), 32, EqualWeights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directPlan, err := NewPlanner(warmTestDesign(), 32, EqualWeights).CostOptimizer()
+	directPlan, err := NewPlanner(paperDesign(), 32, EqualWeights).CostOptimizer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameResult(directPlan, again) {
-		t.Fatal("cold plan after a warm sweep diverged")
+		t.Fatal("plan after a sweep diverged from a lone planner")
 	}
 }
 
@@ -170,7 +162,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 	eng := NewEngine(EngineOptions{Workers: 1})
 	ctx := context.Background()
 
-	refBase, err := NewPlanner(warmTestDesign(), 32, EqualWeights).CostOptimizer()
+	refBase, err := NewPlanner(paperDesign(), 32, EqualWeights).CostOptimizer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +184,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			// Even goroutines plan the benchmark, odd ones the variant;
 			// every call passes a fresh design value, so the content-hash
 			// canonicalization is what makes the sessions shared.
-			mk, want := warmTestDesign, refBase
+			mk, want := paperDesign, refBase
 			if g%2 == 1 {
 				mk, want = variantDesign, refVar
 			}
@@ -239,7 +231,7 @@ func TestEngineCancellationMidSweep(t *testing.T) {
 
 	// Reference runtime of the full sweep, uncached.
 	t0 := time.Now()
-	direct, err := SweepWith(warmTestDesign(), widths, weights, opt)
+	direct, err := SweepWith(paperDesign(), widths, weights, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +240,7 @@ func TestEngineCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	t0 = time.Now()
-	_, err = eng.Sweep(ctx, warmTestDesign(), widths, weights, opt)
+	_, err = eng.Sweep(ctx, paperDesign(), widths, weights, opt)
 	aborted := time.Since(t0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled sweep returned %v, want context.DeadlineExceeded", err)
@@ -262,7 +254,7 @@ func TestEngineCancellationMidSweep(t *testing.T) {
 	// The same engine must now complete the sweep with results
 	// bit-identical to the direct cold sweep: no aborted packing may
 	// have been memoized.
-	got, err := eng.Sweep(context.Background(), warmTestDesign(), widths, weights, opt)
+	got, err := eng.Sweep(context.Background(), paperDesign(), widths, weights, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +273,7 @@ func TestEngineCancellationMidSweep(t *testing.T) {
 // promptly even while the owner is still packing, and the entry
 // completes normally for later callers.
 func TestWaiterHonorsOwnContext(t *testing.T) {
-	d := warmTestDesign()
+	d := paperDesign()
 	cache := NewScheduleCache()
 	p := d.AllShare()
 	key := p.Key(nil)
@@ -306,13 +298,13 @@ func TestWaiterHonorsOwnContext(t *testing.T) {
 	}
 
 	// The owner eventually completes; subsequent calls serve the entry.
-	ev.fill(nil, p, key, ent)
+	ev.fill(nil, p, ent)
 	s, err := ev.Schedule(p)
 	if err != nil || s == nil {
 		t.Fatalf("post-completion Schedule = (%v, %v)", s, err)
 	}
-	if cache.Peek(key) != s {
-		t.Error("completed entry not served from the cache")
+	if s != ent.s || cache.Len() != 1 || cache.Stats() != (CacheStats{Hits: 1}) {
+		t.Errorf("completed entry not served from the cache: len %d, stats %+v", cache.Len(), cache.Stats())
 	}
 }
 
@@ -322,12 +314,12 @@ func TestWaiterHonorsOwnContext(t *testing.T) {
 func TestEngineWidthCacheLRUBound(t *testing.T) {
 	eng := NewEngine(EngineOptions{MaxWidthCaches: 2})
 	ctx := context.Background()
-	ref, err := NewPlanner(warmTestDesign(), 24, EqualWeights).CostOptimizer()
+	ref, err := NewPlanner(paperDesign(), 24, EqualWeights).CostOptimizer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{24, 28, 32, 36, 40} {
-		if _, err := eng.Plan(ctx, warmTestDesign(), w, EqualWeights); err != nil {
+		if _, err := eng.Plan(ctx, paperDesign(), w, EqualWeights); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +336,7 @@ func TestEngineWidthCacheLRUBound(t *testing.T) {
 		}
 	}
 	// Replanning an evicted width is a cold recompute, bit-identical.
-	res, err := eng.Plan(ctx, warmTestDesign(), 24, EqualWeights)
+	res, err := eng.Plan(ctx, paperDesign(), 24, EqualWeights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +350,12 @@ func TestEngineWidthCacheLRUBound(t *testing.T) {
 func TestEngineLRUEviction(t *testing.T) {
 	eng := NewEngine(EngineOptions{MaxDesigns: 1})
 	ctx := context.Background()
-	ref, err := NewPlanner(warmTestDesign(), 32, EqualWeights).CostOptimizer()
+	ref, err := NewPlanner(paperDesign(), 32, EqualWeights).CostOptimizer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights); err != nil {
+		if _, err := eng.Plan(ctx, paperDesign(), 32, EqualWeights); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Plan(ctx, variantDesign(), 32, EqualWeights); err != nil {
@@ -377,7 +369,7 @@ func TestEngineLRUEviction(t *testing.T) {
 	if m.Evictions < 2 {
 		t.Errorf("evictions = %d, want >= 2 for alternating designs at capacity 1", m.Evictions)
 	}
-	res, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights)
+	res, err := eng.Plan(ctx, paperDesign(), 32, EqualWeights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +406,7 @@ func TestEngineMetricsMonotonicAcrossEviction(t *testing.T) {
 	// evicts the other design's caches, which previously took their
 	// hit/miss counters with them.
 	for i := 0; i < 3; i++ {
-		if _, err := eng.Plan(ctx, warmTestDesign(), 32, EqualWeights); err != nil {
+		if _, err := eng.Plan(ctx, paperDesign(), 32, EqualWeights); err != nil {
 			t.Fatal(err)
 		}
 		check("benchmark plan")
@@ -437,7 +429,7 @@ func TestEngineMetricsMonotonicAcrossEviction(t *testing.T) {
 	// Width-LRU eviction inside one session must fold counters too.
 	eng2 := NewEngine(EngineOptions{MaxWidthCaches: 1, Workers: 2})
 	for _, w := range []int{24, 32, 24} {
-		if _, err := eng2.Plan(ctx, warmTestDesign(), w, EqualWeights); err != nil {
+		if _, err := eng2.Plan(ctx, paperDesign(), w, EqualWeights); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,16 +38,6 @@ type cacheEntry struct {
 	err  error
 }
 
-// completed reports whether the entry's computation has finished.
-func (e *cacheEntry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // NewScheduleCache returns an empty schedule cache.
 func NewScheduleCache() *ScheduleCache {
 	return &ScheduleCache{m: map[string]*cacheEntry{}}
@@ -68,24 +58,6 @@ func (c *ScheduleCache) entry(key string) (e *cacheEntry, owner bool) {
 		return e, true
 	}
 	return e, false
-}
-
-// Peek returns the already-computed schedule for key, or nil if the key
-// has never been computed (or failed). It never blocks on an in-flight
-// computation and never triggers one: warm-start chaining uses it to
-// ask "did the previous width pack this configuration?" without
-// perturbing the previous width's cache.
-func (c *ScheduleCache) Peek(key string) *tam.Schedule {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	e := c.m[key]
-	c.mu.Unlock()
-	if e == nil || !e.completed() || e.err != nil {
-		return nil
-	}
-	return e.s
 }
 
 // drop removes the entry for key if it is still the given one, so a
@@ -152,16 +124,6 @@ type Evaluator struct {
 	// design's DigitalHash. Set both before the evaluator's first use.
 	Digital    *DigitalJobsCache
 	DigitalKey string
-
-	// Warm lists the schedule caches of adjacent TAM widths, nearest
-	// first: configurations already packed there seed this evaluator's
-	// TAM runs via tam.WithWarmStart, the best adoption winning (a
-	// narrower width's schedule is adopted verbatim, a wider width's
-	// re-placed in seed order). Set it before the evaluator's first use,
-	// and only from sweep drivers whose source widths are complete —
-	// Peek never blocks, so a racing source cache would make warm
-	// seeding (not results, but timing) nondeterministic.
-	Warm []*ScheduleCache
 
 	// Packer is the packing backend every TAM run goes through; the
 	// constructors set the default occupancy backend. The backing cache
@@ -246,7 +208,7 @@ func (e *Evaluator) compute(ctx context.Context, p partition.Partition, key stri
 		ent, owner := e.cache.entry(key)
 		if owner {
 			e.cache.misses.Add(1)
-			e.fill(ctx, p, key, ent)
+			e.fill(ctx, p, ent)
 		} else {
 			select {
 			case <-ent.done:
@@ -268,9 +230,9 @@ func (e *Evaluator) compute(ctx context.Context, p partition.Partition, key stri
 	}
 }
 
-// fill packs the schedule for (p, key) into the owned entry and closes
-// its done channel.
-func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string, ent *cacheEntry) {
+// fill packs the schedule for p into the owned entry and closes its
+// done channel.
+func (e *Evaluator) fill(ctx context.Context, p partition.Partition, ent *cacheEntry) {
 	defer close(ent.done)
 	digital, err := e.digitalJobs()
 	if err != nil {
@@ -283,11 +245,6 @@ func (e *Evaluator) fill(ctx context.Context, p partition.Partition, key string,
 		return
 	}
 	opts := []tam.Option{tam.WithPrefixStore(e.prefix)}
-	for _, warm := range e.Warm {
-		if seed := warm.Peek(key); seed != nil {
-			opts = append(opts, tam.WithWarmStart(seed))
-		}
-	}
 	if ctx != nil {
 		opts = append(opts, tam.WithContext(ctx))
 	}

@@ -65,11 +65,6 @@ type Planner struct {
 	// TAM jobs from a cross-design cache (see Evaluator.Digital).
 	Digital    *DigitalJobsCache
 	DigitalKey string
-	// Warm lists the completed schedule caches of adjacent widths used
-	// to seed TAM runs, nearest width first (see Evaluator.Warm).
-	// Warm-started packing is not guaranteed to reproduce cold makespans
-	// bit-for-bit; leave it empty where exact reproduction matters.
-	Warm []*ScheduleCache
 	// Packer, when non-nil, is the packing backend every TAM run goes
 	// through (see Evaluator.Packer and PackerFor); nil is the default
 	// occupancy backend. Cache must be private to the backend.
@@ -146,7 +141,6 @@ func (pl *Planner) evaluator() *Evaluator {
 	e.Staircases = pl.Staircases
 	e.Digital = pl.Digital
 	e.DigitalKey = pl.DigitalKey
-	e.Warm = pl.Warm
 	if pl.Packer != nil {
 		e.Packer = pl.Packer
 	}

@@ -22,25 +22,6 @@ type SweepOptions struct {
 	// Exhaustive solves every point optimally; otherwise the
 	// Cost_Optimizer heuristic runs.
 	Exhaustive bool
-	// WarmStart chains TAM packings across the width dimension: widths
-	// are solved one at a time in the order the caller listed them, and
-	// each width's packings are seeded from the nearest *completed*
-	// width on either side — the best of the narrower and wider
-	// candidates wins per configuration (tam.WithWarmStart) — so the
-	// improve loop starts from a near-feasible schedule instead of
-	// packing three orderings from scratch. For the common ascending
-	// width list that degenerates to the classic "seed from the
-	// previous narrower width" chain; other orders (say, widest first,
-	// or middle-out) let wider completed widths seed narrower ones via
-	// a guided re-pack. The chaining is deterministic — a width's
-	// caches are complete before the next width starts — but
-	// warm-started packing follows a different search trajectory than
-	// cold packing, so makespans can differ slightly from a cold sweep
-	// (in either direction; the polish loops are shared and monotone).
-	// The paper tables therefore run cold; use WarmStart for wide
-	// exploratory sweeps where throughput matters more than bit-exact
-	// reproducibility.
-	WarmStart bool
 	// Bounded enables branch-and-bound pruning per grid point: each
 	// planner skips packing candidates whose admissible cost lower
 	// bound cannot beat its incumbent (see Planner.Bounded). Every
@@ -63,15 +44,10 @@ type SweepOptions struct {
 	// which it returns true — the hook a sharded runner uses to solve
 	// only its cells of a larger (width, weights) grid. The returned
 	// slice holds only the selected points, still in weights-major
-	// order. In a cold sweep each selected point is bit-identical to
-	// the corresponding point of an unrestricted sweep; with WarmStart
-	// the chain runs over the selected widths only, each seeding from
-	// the nearest completed *selected* width on either side, so a
-	// point's makespan can differ from a full warm sweep's whenever the
-	// selection changes its seeds (shard cold sweeps where exact
-	// reproduction matters).
-	// Schedule caches exist only for widths with at least one selected
-	// point — an unselected width is never packed.
+	// order. Each selected point is bit-identical to the corresponding
+	// point of an unrestricted sweep. Schedule caches exist only for
+	// widths with at least one selected point — an unselected width is
+	// never packed.
 	Select func(width int, weights Weights) bool
 }
 
@@ -96,16 +72,8 @@ func SweepWith(d *Design, widths []int, weights []Weights, opt SweepOptions) ([]
 // staircase at a narrower width is a prefix of its staircase at a
 // wider one), so no configuration is ever packed — and no wrapper ever
 // designed — twice. The returned slice is ordered weights-major exactly
-// as a sequential sweep.
-//
-// Without WarmStart the selected grid points fan out across the worker
-// pool against the session's cold schedule caches, and the result is
-// bit-identical to a sequential cold sweep. With WarmStart the width
-// dimension runs one width at a time in the caller's order, each width
-// seeded from the nearest completed widths (see SweepOptions.WarmStart);
-// warm-started packing follows a different search trajectory, so those
-// schedules go to fresh caches and never enter the session's cold ones.
-// Only the selected widths ever get a schedule cache.
+// as a sequential sweep, and bit-identical to one. Only the selected
+// widths ever get a schedule cache.
 func (s *engineSession) sweep(ctx context.Context, widths []int, weights []Weights, opt SweepOptions) ([]SweepPoint, error) {
 	if len(widths) == 0 || len(weights) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one width and one weight setting")
@@ -116,7 +84,6 @@ func (s *engineSession) sweep(ctx context.Context, widths []int, weights []Weigh
 	}
 	// Dense grid indices of the selected points, weights-major.
 	keep := make([]int, 0, len(weights)*len(widths))
-	keepSet := make(map[int]bool, len(weights)*len(widths))
 	maxW := 0
 	selWidths := make(map[int]bool, len(widths))
 	for k, wt := range weights {
@@ -125,7 +92,6 @@ func (s *engineSession) sweep(ctx context.Context, widths []int, weights []Weigh
 				continue
 			}
 			keep = append(keep, k*len(widths)+ci)
-			keepSet[k*len(widths)+ci] = true
 			selWidths[w] = true
 			maxW = max(maxW, w)
 		}
@@ -141,20 +107,17 @@ func (s *engineSession) sweep(ctx context.Context, widths []int, weights []Weigh
 	s.sweepStairs(maxW)
 	caches := make(map[int]*ScheduleCache, len(selWidths))
 	for w := range selWidths {
-		if opt.WarmStart {
-			caches[w] = NewScheduleCache()
-		} else {
-			caches[w] = s.sweepCache(w, packer.Name())
-		}
+		caches[w] = s.sweepCache(w, packer.Name())
 	}
 
 	out := make([]SweepPoint, len(weights)*len(widths))
 	errs := make([]error, len(out))
-	solve := func(i int, warm []*ScheduleCache, inner int) {
+	outer, inner := SplitWorkers(workers, len(keep))
+	forEach(ctx, len(keep), outer, func(j int) {
+		i := keep[j]
 		wt := weights[i/len(widths)]
 		w := widths[i%len(widths)]
 		pl := s.planner(w, wt, inner, packer, caches[w])
-		pl.Warm = warm
 		pl.Bounded = opt.Bounded
 		if opt.Configure != nil {
 			opt.Configure(pl)
@@ -173,43 +136,7 @@ func (s *engineSession) sweep(ctx context.Context, widths []int, weights []Weigh
 			return
 		}
 		out[i] = SweepPoint{Width: w, Weights: wt, Result: res}
-	}
-
-	if !opt.WarmStart {
-		outer, inner := SplitWorkers(workers, len(keep))
-		forEach(ctx, len(keep), outer, func(j int) { solve(keep[j], nil, inner) })
-	} else {
-		// Selected widths in the caller's first-appearance order; each
-		// width's caches complete before the next width starts, so every
-		// Peek is deterministic, and every seed comes from a width that
-		// actually packed. The seeds for a width are the caches of the
-		// nearest completed width below and above it, nearest first
-		// (narrower on an exact distance tie).
-		order := make([]int, 0, len(selWidths))
-		seen := make(map[int]bool, len(selWidths))
-		for _, w := range widths {
-			if selWidths[w] && !seen[w] {
-				seen[w] = true
-				order = append(order, w)
-			}
-		}
-		outer, inner := SplitWorkers(workers, len(weights))
-		completed := make([]int, 0, len(order))
-		for _, w := range order {
-			warm := warmSources(completed, w, caches)
-			// Membership comes from the precomputed keep set, not a
-			// re-invocation of opt.Select, which need not be safe for
-			// concurrent use.
-			forEach(ctx, len(weights), outer, func(k int) {
-				for ci, cw := range widths {
-					if cw == w && keepSet[k*len(widths)+ci] {
-						solve(k*len(widths)+ci, warm, inner)
-					}
-				}
-			})
-			completed = append(completed, w)
-		}
-	}
+	})
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
@@ -226,33 +153,6 @@ func (s *engineSession) sweep(ctx context.Context, widths []int, weights []Weigh
 		pts = append(pts, out[i])
 	}
 	return pts, nil
-}
-
-// warmSources picks the warm-start seed caches for width w: the caches
-// of the nearest completed width below and above it, nearest first,
-// with the narrower width winning an exact distance tie.
-func warmSources(completed []int, w int, caches map[int]*ScheduleCache) []*ScheduleCache {
-	below, above := -1, -1
-	for _, c := range completed {
-		if c < w && (below < 0 || c > below) {
-			below = c
-		}
-		if c > w && (above < 0 || c < above) {
-			above = c
-		}
-	}
-	switch {
-	case below >= 0 && above >= 0:
-		if w-below <= above-w {
-			return []*ScheduleCache{caches[below], caches[above]}
-		}
-		return []*ScheduleCache{caches[above], caches[below]}
-	case below >= 0:
-		return []*ScheduleCache{caches[below]}
-	case above >= 0:
-		return []*ScheduleCache{caches[above]}
-	}
-	return nil
 }
 
 // WidthCurve returns the SOC test time of one fixed sharing

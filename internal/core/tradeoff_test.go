@@ -104,25 +104,27 @@ func TestSweepSelectMatchesFullSweep(t *testing.T) {
 	}
 }
 
-// TestSweepSelectWarmChain exercises Select together with WarmStart: the
-// chain must seed each width from the nearest narrower *selected* width
-// and still solve every selected point.
-func TestSweepSelectWarmChain(t *testing.T) {
+// A cold sweep through SweepWith must remain bit-identical to sweeping
+// the grid by hand, one lone planner per point (which the paper-table
+// reproductions rely on).
+func TestSweepWithColdMatchesSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver sweeps are slow")
+	}
 	d := paperDesign()
-	widths := []int{24, 32, 48}
-	pts, err := SweepWith(d, widths, []Weights{EqualWeights}, SweepOptions{
-		WarmStart: true,
-		Select:    func(w int, _ Weights) bool { return w != 32 },
-	})
+	widths := []int{32, 48}
+	weights := []Weights{{Time: 0.5, Area: 0.5}}
+	b, err := SweepWith(d, widths, weights, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[0].Width != 24 || pts[1].Width != 48 {
-		t.Fatalf("selected warm sweep points = %+v", pts)
-	}
-	for _, p := range pts {
-		if p.Result == nil || p.Result.Best.TestTime <= 0 {
-			t.Errorf("W=%d: unsolved point", p.Width)
+	for i, w := range widths {
+		a, err := NewPlanner(d, w, weights[0]).CostOptimizer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Best.Cost != b[i].Result.Best.Cost || a.NEval != b[i].Result.NEval {
+			t.Fatalf("point %d: cold SweepWith diverges from a lone planner", i)
 		}
 	}
 }

@@ -168,7 +168,7 @@ func (e *distributedSweepError) Error() string {
 		len(shards), len(e.Failures))
 }
 
-// sweep answers a cold /v1/sweep by running every shard through the
+// sweep answers a /v1/sweep by running every shard through the
 // pipeline on the fleet's assignable workers and merging the partials;
 // the result is byte-identical to the in-process sweep for the same
 // spec. ok=false (with no error) means the fleet is empty and the

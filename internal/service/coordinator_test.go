@@ -265,31 +265,6 @@ func TestCoordinatorAllWorkersFailingYields502WithDetail(t *testing.T) {
 	}
 }
 
-// Warm-started sweeps chain widths sequentially, so a coordinator keeps
-// them in-process instead of distributing — even with workers that
-// would fail every shard.
-func TestCoordinatorKeepsWarmSweepInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solver sweeps are slow")
-	}
-	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "unreachable", http.StatusInternalServerError)
-	}))
-	t.Cleanup(broken.Close)
-
-	coord := newCoordinatorServer(t, Options{WorkerURLs: []string{broken.URL}})
-	req := distTestGrid
-	req.WarmStart = true
-	status, body := post(t, coord, "/v1/sweep", req)
-	if status != http.StatusOK {
-		t.Fatalf("warm sweep on a coordinator: status %d: %s", status, body)
-	}
-	series := scrape(t, coord)
-	if series[`msoc_worker_shards_total{result="error",worker="`+broken.URL+`"}`] != 0 {
-		t.Error("warm sweep touched the workers; it must plan in-process")
-	}
-}
-
 // /v1/shard validation: bad shard geometry and empty shards are 400s,
 // not 500s.
 func TestShardRequestValidation(t *testing.T) {

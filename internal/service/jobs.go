@@ -186,8 +186,8 @@ type JobEvent struct {
 // sweep spec and the shard split exactly as submitted. The embedded
 // request flattens into the file, so its keys and their order are the
 // ones older binaries wrote: the wts axis is always normalized (never
-// empty), and warm_start and timeout_ms, which validateJob rejects,
-// are never written.
+// empty), and timeout_ms, which validateJob rejects, is never
+// written.
 type jobManifest struct {
 	ID         string `json:"id"`
 	DesignHash string `json:"design_hash"`
@@ -305,8 +305,6 @@ func validateJob(req SweepRequest) (*sweepSpec, error) {
 	switch {
 	case err != nil:
 		return nil, err
-	case req.WarmStart:
-		return nil, badRequestf("durable jobs solve cold sweeps only: warm_start chains widths sequentially and cannot be sharded or checkpointed")
 	case req.TimeoutMS != 0:
 		return nil, badRequestf("durable jobs run detached from the request: timeout_ms is not supported, poll GET /v1/sweeps/{id} instead")
 	case !sp.distributable():

@@ -173,7 +173,6 @@ func TestJobSubmitValidationAndLookupErrors(t *testing.T) {
 	_, ts := newJobServer(t, t.TempDir())
 
 	bad := []SweepRequest{
-		{Widths: []int{32}, WarmStart: true},          // sequential, unshardable
 		{Widths: []int{32}, TimeoutMS: 1000},          // detached jobs have no request deadline
 		{Widths: []int{32, 32}},                       // duplicate width axis
 		{Widths: []int{32, 40}, WTs: []float64{1, 1}}, // duplicate weight axis
@@ -671,7 +670,9 @@ func TestJobRetentionGC(t *testing.T) {
 	t.Run("memory-only", func(t *testing.T) {
 		defer func(d time.Duration) { jobGCInterval = d }(jobGCInterval)
 		jobGCInterval = 5 * time.Millisecond
-		s := New(Options{JobRetention: 10 * time.Millisecond})
+		// The retention must outlast waitJobState's 10 ms poll, or the
+		// sweeper can expire the job before the poll ever sees it done.
+		s := New(Options{JobRetention: 500 * time.Millisecond})
 		t.Cleanup(s.Close)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)

@@ -418,10 +418,9 @@ func (sp *sweepSpec) distributable() bool {
 }
 
 // Sweep computes the response of POST /v1/sweep for req; see Plan. On a
-// coordinator (Options.WorkerURLs set) cold sweeps are fanned out to
-// the workers and merged byte-identically to the in-process path;
-// warm-started sweeps — whose cross-width chaining is inherently
-// sequential — and grids with duplicate axis values plan in-process.
+// coordinator (Options.WorkerURLs set) sweeps are fanned out to the
+// workers and merged byte-identically to the in-process path; grids
+// with duplicate axis values plan in-process.
 func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, error) {
 	sp, err := validateSweep(req)
 	if err != nil {
@@ -436,7 +435,7 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	}
 	defer release()
 
-	if !req.WarmStart && sp.distributable() {
+	if sp.distributable() {
 		if resp, distributed, err := s.coord.sweep(ctx, sp); distributed {
 			return resp, err
 		}
@@ -445,7 +444,6 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	points, err := s.engine.Sweep(ctx, sp.design, sp.req.Widths, sp.weights, core.SweepOptions{
 		Exhaustive: req.Exhaustive,
 		Bounded:    req.Bounded,
-		WarmStart:  req.WarmStart,
 		Backend:    req.Backend,
 	})
 	if err != nil {
@@ -455,8 +453,8 @@ func (s *Server) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 }
 
 // Shard computes the response of POST /v1/shard for req: the shard's
-// round-robin slice of the full (widths × wts) grid, solved cold
-// through core.SweepOptions.Select so every returned point is
+// round-robin slice of the full (widths × wts) grid, solved through
+// core.SweepOptions.Select so every returned point is
 // bit-identical to the same cell of an unsharded sweep.
 func (s *Server) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, error) {
 	sp, err := validateSweep(SweepRequest{

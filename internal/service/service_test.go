@@ -286,6 +286,10 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/sweep", SweepRequest{Widths: make([]int, MaxSweepCells+1)}},
 		{"/v1/sweep", SweepRequest{Widths: []int{32}, Backend: "no-such-backend"}},
 		{"/v1/shard", ShardRequest{Widths: []int{32}, Backend: "no-such-backend", Of: 1}},
+		// warm_start is not a sweep field, so it fails like any other
+		// unknown field, synchronous or durable.
+		{"/v1/sweep", json.RawMessage(`{"widths":[32],"warm_start":true}`)},
+		{"/v1/sweeps", json.RawMessage(`{"widths":[32],"warm_start":true}`)},
 	}
 	for _, tc := range bad {
 		status, body := post(t, ts, tc.path, tc.body)

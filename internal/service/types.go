@@ -106,11 +106,6 @@ type SweepRequest struct {
 	// Bounded enables branch-and-bound pruning per grid point; see
 	// PlanRequest.Bounded.
 	Bounded bool `json:"bounded,omitempty"`
-	// WarmStart chains TAM packings across widths — faster, but
-	// makespans may deviate a few percent from a cold sweep (see
-	// core.SweepOptions.WarmStart); cold results are bit-identical to
-	// direct mixsoc.SweepWith calls.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// Backend selects the packing backend for every grid point; see
 	// PlanRequest.Backend.
 	Backend string `json:"backend,omitempty"`
@@ -124,8 +119,7 @@ type SweepResponse struct {
 	// DesignHash is the content hash the engine cached the design under.
 	DesignHash string `json:"design_hash"`
 	// Points are the solved grid points in weights-major order, each
-	// bit-identical to the corresponding direct mixsoc.SweepWith point
-	// (cold sweeps).
+	// bit-identical to the corresponding direct mixsoc.SweepWith point.
 	Points []core.SweepPoint `json:"points"`
 }
 
@@ -169,8 +163,8 @@ type ShardRequest struct {
 }
 
 // ShardResponse is the body of a successful POST /v1/shard: the shard's
-// cells solved cold, in weights-major order of the full grid restricted
-// to the shard — exactly the order the coordinator's merge expects.
+// solved cells, in weights-major order of the full grid restricted to
+// the shard — exactly the order the coordinator's merge expects.
 type ShardResponse struct {
 	// DesignHash is the worker's content hash of the resolved design;
 	// the coordinator rejects a merge whose workers disagree on it.
@@ -180,7 +174,7 @@ type ShardResponse struct {
 	// Of echoes the request's shard count.
 	Of int `json:"of"`
 	// Points are the owned cells' solutions, each bit-identical to the
-	// corresponding point of an unsharded cold sweep
+	// corresponding point of an unsharded sweep
 	// (core.SweepOptions.Select pins that equality).
 	Points []core.SweepPoint `json:"points"`
 }

@@ -35,7 +35,7 @@ func TestScheduleCSV(t *testing.T) {
 	}
 }
 
-// ColdWinner runs Optimize's cold path up to the choice of winner and
+// ColdWinner runs Optimize up to the choice of winner and
 // returns the winning schedule unpolished, with whether improve moved a
 // job in it. It exposes the loops to the external property tests.
 func ColdWinner(jobs []*Job, width int) (*Schedule, bool, error) {

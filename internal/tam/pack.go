@@ -15,7 +15,6 @@ type Option func(*config)
 type config struct {
 	improvePasses int
 	paretoOnly    bool
-	warm          []*Schedule
 	ctx           context.Context
 	prefix        *PrefixStore
 }
@@ -44,35 +43,6 @@ func WithFullStaircase() Option {
 	return func(c *config) { c.paretoOnly = false }
 }
 
-// WithWarmStart seeds the packing with a schedule of the same job set
-// from an adjacent bin. A seed from a narrower (or equal-width) bin is
-// feasible verbatim in this bin, so the optimizer adopts its placements
-// — matching jobs by ID and re-deriving durations from the current
-// staircases — and goes straight to the repack/improve polish, which
-// re-places every job against the wider bin, instead of packing three
-// orderings from scratch. A seed from a wider bin cannot be adopted
-// verbatim (its placements may overflow the narrower bin); instead the
-// jobs are re-placed earliest-fit in the seed's placement order, a
-// single guided packing that inherits the seed's structure at a third
-// of the cold cost. A seed that does not match the job set (different
-// IDs, or widths outside the staircase) is ignored, so a stale seed can
-// never corrupt a result; with no usable seed the packer falls back to
-// the cold path.
-//
-// The option may be given several times — e.g. the nearest completed
-// width on either side of a sweep — in which case every seed is adopted
-// (or adapted) and the one with the smallest pre-polish makespan wins,
-// earlier options winning ties.
-//
-// Warm-started packing follows a different search trajectory than cold
-// packing: makespans stay close (the polish loops are shared and
-// monotone) but are not guaranteed identical. Sweep drivers that must
-// reproduce cold results exactly — the paper-table reproductions — must
-// not use it; see core.SweepOptions.WarmStart for the opt-in chaining.
-func WithWarmStart(seed *Schedule) Option {
-	return func(c *config) { c.warm = append(c.warm, seed) }
-}
-
 // WithContext makes the packing cancellable: the placement loops poll
 // ctx between jobs and Optimize returns ctx.Err() once it fires. A nil
 // ctx (and the zero option value) means never cancelled.
@@ -89,7 +59,6 @@ func WithContext(ctx context.Context) Option {
 // The winning schedule then gets the repack + improve polish, unless
 // improve moved nothing in it: a purely greedy winner is already a fixed
 // point of both loops, so skipping them leaves every placement as is.
-// A warm-started packing always gets the polish.
 //
 // The three complementary packing orderings are independent, so they run
 // concurrently; the winner is chosen deterministically (smallest
@@ -98,6 +67,36 @@ func WithContext(ctx context.Context) Option {
 // pass resumes after the longest prefix of its job order the store
 // already holds, which changes no placement.
 func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
+	return packWith(jobs, width, opts, func(f *fitter) (*Schedule, error) {
+		best, moved, err := packCold(jobs, width, f)
+		if err != nil {
+			return nil, err
+		}
+		// Polish only the winning schedule: repack re-places every job,
+		// so running it per ordering buys little for its cost. A winner
+		// improve left untouched is purely greedy, and then the polish is
+		// the identity: each job was placed at its best placement given
+		// only the jobs packed before it, every other job only shrinks
+		// its feasible region, and its current placement stays in that
+		// region — so bestPlacement returns it again, ties included.
+		// TestRepackIdentityOnGreedyWinners pins this. (With
+		// improvePasses 0, improve never moves a job, so the polish is
+		// off as asked.)
+		if moved {
+			repack(best, f)
+			improve(best, f)
+		}
+		return best, nil
+	})
+}
+
+// packWith is the head and tail every backend shares. It applies opts
+// over the defaults, checks the bin width and the jobs, builds the
+// fitter the backend's loops share, and hands it to pack; the schedule
+// pack returns must then survive a last cancellation probe and
+// Schedule.Validate. An empty job set packs to an empty schedule
+// without calling pack.
+func packWith(jobs []*Job, width int, opts []Option, pack func(f *fitter) (*Schedule, error)) (*Schedule, error) {
 	cfg := config{improvePasses: len(jobs), paretoOnly: true}
 	for _, o := range opts {
 		o(&cfg)
@@ -111,112 +110,79 @@ func Optimize(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
 	if err := validateJobs(jobs, width); err != nil {
 		return nil, err
 	}
-
-	shared := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
-
+	f := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-
-	// A usable warm seed replaces the three cold packing orderings: the
-	// adopted (narrower seed) or re-placed (wider seed) schedule is
-	// already feasible at this width, so the repack/improve polish — the
-	// same loops the cold path runs on its winner — does all remaining
-	// work, with repack letting every job widen into the new wires. With
-	// several seeds the cheapest pre-polish makespan wins, earlier seeds
-	// winning ties.
-	if len(cfg.warm) > 0 {
-		var adopted *Schedule
-		for _, seed := range cfg.warm {
-			s := adoptSeed(jobs, width, seed)
-			if s == nil {
-				s = shrinkSeed(jobs, width, seed, shared)
-			}
-			if s != nil && (adopted == nil || s.Makespan < adopted.Makespan) {
-				adopted = s
-			}
-		}
-		if adopted != nil {
-			if cfg.improvePasses > 0 {
-				repack(adopted, shared)
-				improve(adopted, shared)
-			}
-			if err := cfg.ctxErr(); err != nil {
-				return nil, err
-			}
-			if err := adopted.Validate(); err != nil {
-				return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
-			}
-			return adopted, nil
-		}
-	}
-
-	best, moved, err := packCold(jobs, width, shared)
+	s, err := pack(f)
 	if err != nil {
 		return nil, err
 	}
-
-	// Polish only the winning schedule: repack re-places every job, so
-	// running it per ordering buys little for its cost. A winner improve
-	// left untouched is purely greedy, and then the polish is the
-	// identity: each job was placed at its best placement given only the
-	// jobs packed before it, every other job only shrinks its feasible
-	// region, and its current placement stays in that region — so
-	// bestPlacement returns it again, ties included.
-	// TestRepackIdentityOnGreedyWinners pins this. (With improvePasses
-	// 0, improve never moves a job, so the polish is off as asked.)
-	if moved {
-		repack(best, shared)
-		improve(best, shared)
-	}
-
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-	if err := best.Validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
 	}
-	return best, nil
+	return s, nil
 }
 
-// packCold is the cold path of Optimize up to the choice of winner: it
-// packs the three orderings concurrently, each on its own fork of f,
-// and returns the winning schedule unpolished, with whether improve
-// moved a job in it.
-func packCold(jobs []*Job, width int, f *fitter) (*Schedule, bool, error) {
-	target := LowerBound(jobs, width)
+// sortKeys are the per-job keys the packing orders sort by, computed
+// once per packing so the comparators do no staircase walks (and no
+// allocations) inside sort.
+type sortKeys struct {
+	// target is the LowerBound makespan estimate. A job's preferred
+	// width is its narrowest option whose time meets it
+	// (preferredWidth).
+	target int64
+	// prefTime is each job's time at its preferred width.
+	prefTime map[*Job]int64
+	// groupTotal is each serialization group's serial time at its jobs'
+	// widest usable options.
+	groupTotal map[string]int64
+}
 
-	// Serialization groups behave like one long chain: one useful weight
-	// for a job is its whole group's serial time rather than its own
-	// (often short) time, or the chain ends up in a tail behind a
-	// tightly packed bin.
-	groupTotal := map[string]int64{}
+func newSortKeys(jobs []*Job, width int) sortKeys {
+	k := sortKeys{target: LowerBound(jobs, width), prefTime: make(map[*Job]int64, len(jobs)), groupTotal: map[string]int64{}}
 	for _, j := range jobs {
 		if j.Group != "" {
-			groupTotal[j.Group] += j.minTime(width)
+			k.groupTotal[j.Group] += j.minTime(width)
 		}
 	}
-	// Per-job sort keys, precomputed so the ordering comparators do no
-	// staircase walks (and no allocations) inside sort.
-	prefTimes := make(map[*Job]int64, len(jobs))
+	for _, j := range jobs {
+		k.prefTime[j] = timeFor(j, preferredWidth(j, width, k.target))
+	}
+	return k
+}
+
+// chain is j's chain weight. Serialization groups behave like one long
+// chain, so a grouped job weighs its whole group's serial time rather
+// than its own (often short) time; otherwise the chain ends up in a
+// tail behind a tightly packed bin. An ungrouped job weighs its
+// preferred time.
+func (k sortKeys) chain(j *Job) int64 {
+	if j.Group != "" {
+		return k.groupTotal[j.Group]
+	}
+	return k.prefTime[j]
+}
+
+// packCold is Optimize up to the choice of winner: it packs the three
+// orderings concurrently, each on its own fork of f, and returns the
+// winning schedule unpolished, with whether improve moved a job in it.
+func packCold(jobs []*Job, width int, f *fitter) (*Schedule, bool, error) {
+	keys := newSortKeys(jobs, width)
 	volumes := make(map[*Job]int64, len(jobs))
 	for _, j := range jobs {
-		prefTimes[j] = timeFor(j, preferredWidth(j, width, target))
 		volumes[j] = j.volume(width)
-	}
-	chainWeight := func(j *Job) int64 {
-		if j.Group != "" {
-			return groupTotal[j.Group]
-		}
-		return prefTimes[j]
 	}
 
 	// Greedy list scheduling is sensitive to the job order; pack with a
 	// few complementary orderings and keep the best schedule. All
 	// orderings share deterministic tie-breaking by ID.
 	orderings := []func(j *Job) int64{
-		chainWeight,
-		func(j *Job) int64 { return prefTimes[j] },
+		keys.chain,
+		func(j *Job) int64 { return keys.prefTime[j] },
 		func(j *Job) int64 { return volumes[j] },
 	}
 
@@ -234,7 +200,7 @@ func packCold(jobs []*Job, width int, f *fitter) (*Schedule, bool, error) {
 				if ka != kb {
 					return ka > kb
 				}
-				ta, tb := prefTimes[order[a]], prefTimes[order[b]]
+				ta, tb := keys.prefTime[order[a]], keys.prefTime[order[b]]
 				if ta != tb {
 					return ta > tb
 				}
@@ -255,96 +221,6 @@ func packCold(jobs []*Job, width int, f *fitter) (*Schedule, bool, error) {
 		}
 	}
 	return results[bi], moved[bi], nil
-}
-
-// adoptSeed rebuilds a warm-start seed over this Optimize call's job
-// set: placements are matched by job ID, durations re-derived from the
-// current staircases, and the result validated against the (possibly
-// wider) bin. It returns nil if the seed does not describe exactly this
-// job set or is not feasible here, in which case the caller packs cold.
-func adoptSeed(jobs []*Job, width int, seed *Schedule) *Schedule {
-	if seed == nil || len(seed.Placements) != len(jobs) || seed.Width > width {
-		return nil
-	}
-	byID := make(map[string]*Job, len(jobs))
-	for _, j := range jobs {
-		byID[j.ID] = j
-	}
-	s := &Schedule{Width: width, Placements: make([]Placement, 0, len(jobs))}
-	for i := range seed.Placements {
-		sp := &seed.Placements[i]
-		j := byID[sp.Job.ID]
-		if j == nil || sp.Width < j.Options[0].Width || sp.Width > width {
-			return nil
-		}
-		delete(byID, sp.Job.ID) // each job exactly once
-		p := Placement{Job: j, Width: sp.Width, Start: sp.Start, WireLo: sp.WireLo}
-		p.End = p.Start + timeFor(j, p.Width)
-		s.Placements = append(s.Placements, p)
-		if p.End > s.Makespan {
-			s.Makespan = p.End
-		}
-	}
-	if len(byID) != 0 || s.Validate() != nil {
-		return nil
-	}
-	return s
-}
-
-// shrinkSeed adapts a warm-start seed from a WIDER bin, which cannot be
-// adopted verbatim (its placements may overflow the narrower bin): the
-// jobs are re-placed earliest-fit in the seed's placement order (start,
-// wire, ID), a single guided packing that inherits the seed's structure
-// for a third of the three-ordering cold cost. It returns nil if the
-// seed is not from a wider bin or does not describe exactly this job
-// set, in which case the caller packs cold.
-func shrinkSeed(jobs []*Job, width int, seed *Schedule, f *fitter) *Schedule {
-	if seed == nil || seed.Width <= width || len(seed.Placements) != len(jobs) {
-		return nil
-	}
-	byID := make(map[string]*Job, len(jobs))
-	for _, j := range jobs {
-		byID[j.ID] = j
-	}
-	idx := make([]int, len(seed.Placements))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := &seed.Placements[idx[a]], &seed.Placements[idx[b]]
-		if pa.Start != pb.Start {
-			return pa.Start < pb.Start
-		}
-		if pa.WireLo != pb.WireLo {
-			return pa.WireLo < pb.WireLo
-		}
-		return pa.Job.ID < pb.Job.ID
-	})
-	order := make([]*Job, 0, len(jobs))
-	for _, i := range idx {
-		j := byID[seed.Placements[i].Job.ID]
-		if j == nil {
-			return nil
-		}
-		delete(byID, j.ID) // each job exactly once
-		order = append(order, j)
-	}
-	if len(byID) != 0 {
-		return nil
-	}
-	s := &Schedule{Width: width, Placements: make([]Placement, 0, len(order))}
-	f.reset(s.Placements)
-	for _, j := range order {
-		p, ok := f.bestPlacement(j, s.Placements)
-		if !ok {
-			return nil
-		}
-		f.place(s, p)
-		if p.End > s.Makespan {
-			s.Makespan = p.End
-		}
-	}
-	return s
 }
 
 // packList packs the jobs in the given order and runs the improvement

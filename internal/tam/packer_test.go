@@ -74,44 +74,13 @@ func TestRectanglePackerContract(t *testing.T) {
 	}
 }
 
-// The rectangle backend shares the warm-start contract: a narrower
-// seed is adopted verbatim and the monotone polish can only improve
-// it, so the warm result is never worse than the seed.
-func TestRectangleWarmStart(t *testing.T) {
-	jobs := digitalJobs(t, 48)
-	seed, err := RectanglePacker{}.Pack(jobs, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RectanglePacker{}.Pack(jobs, 48, WithWarmStart(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warm.Validate(); err != nil {
-		t.Fatalf("warm rectangle schedule invalid: %v", err)
-	}
-	if warm.Width != 48 {
-		t.Fatalf("warm width = %d, want 48", warm.Width)
-	}
-	if warm.Makespan > seed.Makespan {
-		t.Errorf("warm makespan %d worse than seed %d", warm.Makespan, seed.Makespan)
-	}
-}
-
 // The rectangle backend shares the cancellation contract: a cancelled
-// context aborts the pack with context.Canceled, warm or cold.
+// context aborts the pack with context.Canceled.
 func TestRectangleCancellation(t *testing.T) {
 	jobs := digitalJobs(t, 48)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := (RectanglePacker{}).Pack(jobs, 48, WithContext(cancelled)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cold pack under a cancelled context: err = %v, want context.Canceled", err)
-	}
-	seed, err := RectanglePacker{}.Pack(jobs, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (RectanglePacker{}).Pack(jobs, 48, WithWarmStart(seed), WithContext(cancelled)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("warm pack under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -61,7 +61,7 @@ func NewPrefixStore() *PrefixStore { return &PrefixStore{} }
 // WithPrefixStore makes every greedy packing pass resume from the
 // longest prefix of its job order that st already holds for this bin,
 // and record the placements it adds. The result is identical to packing
-// without the store. Warm-start seeds bypass it. A nil st is no store.
+// without the store. A nil st is no store.
 func WithPrefixStore(st *PrefixStore) Option {
 	return func(c *config) { c.prefix = st }
 }

@@ -1,9 +1,6 @@
 package tam
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // PackRectangle packs the jobs into a TAM of the given width using the
 // rectangle bin-packing formulation: each (module, width option) is a
@@ -24,120 +21,44 @@ import (
 // different (and cheaper) search trajectory, which is what makes the
 // cross-backend differential tests a meaningful oracle.
 //
-// PackRectangle honours the full Option set: WithWarmStart seeds are
-// adopted or adapted exactly as in Optimize (best pre-polish makespan
-// wins) and skip the cold ordering, WithContext cancels between
-// placements, and the result always passes Schedule.Validate.
+// PackRectangle honours the full Option set: WithContext cancels
+// between placements, and the result always passes Schedule.Validate.
 func PackRectangle(jobs []*Job, width int, opts ...Option) (*Schedule, error) {
-	cfg := config{improvePasses: len(jobs), paretoOnly: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if width < 1 {
-		return nil, fmt.Errorf("tam: bin width %d < 1", width)
-	}
-	if len(jobs) == 0 {
-		return &Schedule{Width: width}, nil
-	}
-	if err := validateJobs(jobs, width); err != nil {
-		return nil, err
-	}
+	return packWith(jobs, width, opts, func(f *fitter) (*Schedule, error) {
+		keys := newSortKeys(jobs, width)
+		var maxChain int64 = 1 // avoid division by zero on all-zero times
+		for _, j := range jobs {
+			maxChain = max(maxChain, keys.chain(j))
+		}
 
-	target := LowerBound(jobs, width)
+		// Squared normalized diagonal length of each job's preferred
+		// rectangle, its time axis weighted by the chain weight. The
+		// squares and the sum are kept in separate statements so no
+		// fused multiply-add can perturb the comparison order across
+		// architectures.
+		diag := make(map[*Job]float64, len(jobs))
+		for _, j := range jobs {
+			x := float64(preferredWidth(j, width, keys.target)) / float64(width)
+			y := float64(keys.chain(j)) / float64(maxChain)
+			xx := x * x
+			yy := y * y
+			diag[j] = xx + yy
+		}
 
-	// The group chain weight and per-job preferred rectangle, shared
-	// with Optimize's ordering logic (see the groupTotal comment there).
-	groupTotal := map[string]int64{}
-	for _, j := range jobs {
-		if j.Group != "" {
-			groupTotal[j.Group] += j.minTime(width)
-		}
-	}
-	prefWidths := make(map[*Job]int, len(jobs))
-	prefTimes := make(map[*Job]int64, len(jobs))
-	chainTimes := make(map[*Job]int64, len(jobs))
-	var maxChain int64 = 1 // avoid division by zero on all-zero times
-	for _, j := range jobs {
-		w := preferredWidth(j, width, target)
-		prefWidths[j] = w
-		prefTimes[j] = timeFor(j, w)
-		ct := prefTimes[j]
-		if j.Group != "" {
-			ct = groupTotal[j.Group]
-		}
-		chainTimes[j] = ct
-		if ct > maxChain {
-			maxChain = ct
-		}
-	}
+		order := append([]*Job(nil), jobs...)
+		sort.Slice(order, func(a, b int) bool {
+			da, db := diag[order[a]], diag[order[b]]
+			if da != db {
+				return da > db
+			}
+			ta, tb := keys.prefTime[order[a]], keys.prefTime[order[b]]
+			if ta != tb {
+				return ta > tb
+			}
+			return order[a].ID < order[b].ID
+		})
 
-	// Squared normalized diagonal length of each job's preferred
-	// rectangle. The squares and the sum are kept in separate
-	// statements so no fused multiply-add can perturb the comparison
-	// order across architectures.
-	diag := make(map[*Job]float64, len(jobs))
-	for _, j := range jobs {
-		x := float64(prefWidths[j]) / float64(width)
-		y := float64(chainTimes[j]) / float64(maxChain)
-		xx := x * x
-		yy := y * y
-		diag[j] = xx + yy
-	}
-
-	order := append([]*Job(nil), jobs...)
-	sort.Slice(order, func(a, b int) bool {
-		da, db := diag[order[a]], diag[order[b]]
-		if da != db {
-			return da > db
-		}
-		ta, tb := prefTimes[order[a]], prefTimes[order[b]]
-		if ta != tb {
-			return ta > tb
-		}
-		return order[a].ID < order[b].ID
+		s, _, err := packList(order, f)
+		return s, err
 	})
-
-	shared := newFitter(newOptionTable(jobs, width, cfg), width, cfg)
-
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
-	}
-
-	// Warm seeds take the same shortcut as in Optimize: the best
-	// adopted or adapted seed replaces the cold ordering and goes
-	// straight to the polish loop.
-	if len(cfg.warm) > 0 {
-		var adopted *Schedule
-		for _, seed := range cfg.warm {
-			s := adoptSeed(jobs, width, seed)
-			if s == nil {
-				s = shrinkSeed(jobs, width, seed, shared)
-			}
-			if s != nil && (adopted == nil || s.Makespan < adopted.Makespan) {
-				adopted = s
-			}
-		}
-		if adopted != nil {
-			improve(adopted, shared)
-			if err := cfg.ctxErr(); err != nil {
-				return nil, err
-			}
-			if err := adopted.Validate(); err != nil {
-				return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
-			}
-			return adopted, nil
-		}
-	}
-
-	s, _, err := packList(order, shared)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("tam: internal error: produced invalid schedule: %w", err)
-	}
-	return s, nil
 }

@@ -213,30 +213,7 @@ func (s *Schedule) Utilization() float64 {
 // LowerBound returns the packing lower bound for the jobs in a bin of
 // the given width: the larger of the total volume divided by the width
 // and the longest unavoidable job/group time.
-func LowerBound(jobs []*Job, width int) int64 {
-	var volume int64
-	var longest int64
-	groupTime := map[string]int64{}
-	for _, j := range jobs {
-		volume += j.volume(width)
-		mt := j.minTime(width)
-		if mt > longest {
-			longest = mt
-		}
-		if j.Group != "" {
-			groupTime[j.Group] += mt
-		}
-	}
-	for _, t := range groupTime {
-		if t > longest {
-			longest = t
-		}
-	}
-	if lb := (volume + int64(width) - 1) / int64(width); lb > longest {
-		return lb
-	}
-	return longest
-}
+func LowerBound(jobs []*Job, width int) int64 { return lowerBound(jobs, width, false) }
 
 // AdmissibleLowerBound is LowerBound with the volume term taken at
 // each job's cheapest usable option instead of its widest. LowerBound
@@ -248,12 +225,22 @@ func LowerBound(jobs []*Job, width int) int64 {
 // and a shared wrapper group's jobs serialize, so no valid schedule of
 // the jobs — packed by this library or otherwise — finishes earlier.
 // Branch-and-bound pruning needs exactly that admissibility.
-func AdmissibleLowerBound(jobs []*Job, width int) int64 {
+func AdmissibleLowerBound(jobs []*Job, width int) int64 { return lowerBound(jobs, width, true) }
+
+// lowerBound is the body of both bounds: the larger of the volume term
+// (each job at its widest usable option, or at its cheapest one when
+// admissible) spread over the bin, and the longest single job or
+// serialization group at its widest usable options.
+func lowerBound(jobs []*Job, width int, admissible bool) int64 {
 	var volume int64
 	var longest int64
 	groupTime := map[string]int64{}
 	for _, j := range jobs {
-		volume += j.minVolume(width)
+		if admissible {
+			volume += j.minVolume(width)
+		} else {
+			volume += j.volume(width)
+		}
 		mt := j.minTime(width)
 		if mt > longest {
 			longest = mt

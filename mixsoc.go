@@ -259,8 +259,8 @@ func LoadAnalogCores(r io.Reader) ([]*AnalogCore, error) { return analog.ParseCo
 func FormatAnalogCores(cores []*AnalogCore) string { return analog.FormatCores(cores) }
 
 // SweepOptions configures SweepWith: exhaustive vs heuristic solving,
-// cross-width warm-starting, grid-cell selection, and the worker
-// budget.
+// branch-and-bound pruning, grid-cell selection, the packing backend
+// and the worker budget.
 type SweepOptions = core.SweepOptions
 
 // Sweep solves the planning problem across several TAM widths and
@@ -269,22 +269,14 @@ func Sweep(d *Design, widths []int, weights []Weights, exhaustive bool) ([]core.
 	return SweepWith(d, widths, weights, SweepOptions{Exhaustive: exhaustive})
 }
 
-// SweepWith is Sweep with explicit options. SweepOptions.WarmStart
-// chains the TAM packings across adjacent widths (each width's
-// schedules seed the next width's improve loop), which is markedly
-// faster for wide exploratory sweeps at the price of makespans that
-// can deviate a few percent from a cold sweep. SweepOptions.Select
+// SweepWith is Sweep with explicit options. SweepOptions.Select
 // restricts the sweep to chosen grid cells, which is how a sharded
-// runner splits one grid across machines; in a cold sweep every
-// selected cell is solved bit-identically to the corresponding cell of
-// a full sweep (combined with WarmStart, the warm chain skips the
-// unselected widths, so seeds — and hence makespans — can differ from
-// a full warm sweep's).
+// runner splits one grid across machines; every selected cell is
+// solved bit-identically to the corresponding cell of a full sweep.
 //
-// The sweep runs on DefaultEngine, so cold grid points planned here (or
-// by Plan) are packed once per process; warm-started sweeps never touch
-// the shared cold caches. For cancellation, use Engine.Sweep with a
-// context.
+// The sweep runs on DefaultEngine, so grid points planned here (or by
+// Plan) are packed once per process. For cancellation, use
+// Engine.Sweep with a context.
 func SweepWith(d *Design, widths []int, weights []Weights, opt SweepOptions) ([]core.SweepPoint, error) {
 	return defaultEngine.Sweep(context.Background(), d, widths, weights, opt)
 }
